@@ -12,16 +12,16 @@
 //! against both schemas in parallel, skipping every subtree whose type pair
 //! is subsumed and failing fast on disjoint pairs.
 
-use crate::full::{validate_simple_content, FullValidator};
 use crate::idacache::{ShardedCache, ShardedIdaCache};
 use crate::relations::TypeRelations;
-use crate::safety::{Exemptions, PairSafety};
+use crate::safety::PairSafety;
 use crate::stats::{CastOutcome, ValidationStats};
+use crate::walk::{Pristine, Walker};
 use loomlite::sync::Arc;
-use schemacast_automata::{IdaOutcome, ProductIda};
-use schemacast_regex::{Alphabet, Sym};
-use schemacast_schema::{AbstractSchema, ComplexType, TypeDef, TypeId};
-use schemacast_tree::{Doc, NodeId};
+use schemacast_automata::ProductIda;
+use schemacast_regex::Alphabet;
+use schemacast_schema::{AbstractSchema, TypeId};
+use schemacast_tree::Doc;
 
 /// Feature toggles for ablation studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,176 +143,10 @@ impl<'a> CastContext<'a> {
     /// Like [`CastContext::validate`], with cost counters.
     pub fn validate_with_stats(&self, doc: &Doc) -> (CastOutcome, ValidationStats) {
         let mut stats = ValidationStats::default();
-        let root = doc.root();
-        let Some(label) = doc.label(root) else {
-            return (CastOutcome::Invalid, stats);
-        };
-        let Some(tgt_type) = self.target.root_type(label) else {
-            return (CastOutcome::Invalid, stats);
-        };
-        let ok = match self.source.root_type(label) {
-            Some(src_type) => self.cast_validate(doc, root, src_type, tgt_type, &mut stats),
-            None => {
-                stats.full_validations += 1;
-                FullValidator::new(self.target).validate_node(doc, root, tgt_type, &mut stats)
-            }
-        };
+        let ok = Walker::new(self, doc, &Pristine)
+            .walk_doc((), &mut stats)
+            .is_ok();
         (CastOutcome::from_bool(ok), stats)
-    }
-
-    /// The `validate(τ, τ', e)` of §3.2, implemented with an explicit work
-    /// stack so that document depth never consumes call-stack frames.
-    pub(crate) fn cast_validate(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        src: TypeId,
-        tgt: TypeId,
-        stats: &mut ValidationStats,
-    ) -> bool {
-        self.cast_validate_inner(doc, node, src, tgt, stats, None)
-    }
-
-    /// [`CastContext::cast_validate`] with exemption sets from the static
-    /// update-safety analyzer: `skip` subtrees are counted valid without
-    /// inspection (the analyzer proved every edited site subtree
-    /// target-valid), and `unpruned` nodes — the root→site ancestor paths —
-    /// run with subsumption skips *and* disjointness rejects disabled,
-    /// because their subtrees contain an edit and are therefore not
-    /// source-valid, which is the precondition both prunings rest on.
-    /// Content-model checks on unpruned nodes are still sound: an ancestor's
-    /// own child word is untouched by edits below it.
-    pub(crate) fn cast_validate_exempt(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        src: TypeId,
-        tgt: TypeId,
-        stats: &mut ValidationStats,
-        exemptions: &Exemptions,
-    ) -> bool {
-        self.cast_validate_inner(doc, node, src, tgt, stats, Some(exemptions))
-    }
-
-    fn cast_validate_inner(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        src: TypeId,
-        tgt: TypeId,
-        stats: &mut ValidationStats,
-        exemptions: Option<&Exemptions>,
-    ) -> bool {
-        enum Work {
-            /// Parallel validation against both schemas.
-            Cast(NodeId, TypeId, TypeId),
-            /// Target-only validation (source typing unavailable).
-            Full(NodeId, TypeId),
-        }
-        let mut work: Vec<Work> = vec![Work::Cast(node, src, tgt)];
-        while let Some(item) = work.pop() {
-            let (node, src, tgt) = match item {
-                Work::Full(node, tgt) => {
-                    stats.full_validations += 1;
-                    if !FullValidator::new(self.target).validate_node(doc, node, tgt, stats) {
-                        return false;
-                    }
-                    continue;
-                }
-                Work::Cast(node, src, tgt) => (node, src, tgt),
-            };
-            if let Some(ex) = exemptions {
-                if ex.skip.contains(&node) {
-                    continue;
-                }
-            }
-            stats.nodes_visited += 1;
-            let prune = exemptions.is_none_or(|ex| !ex.unpruned.contains(&node));
-            if prune && self.options.use_subsumption && self.relations.subsumed(src, tgt) {
-                stats.subsumed_skips += 1;
-                continue;
-            }
-            if prune && self.options.use_disjointness && self.relations.disjoint(src, tgt) {
-                stats.disjoint_rejects += 1;
-                return false;
-            }
-            match self.target.type_def(tgt) {
-                TypeDef::Simple(s) => {
-                    stats.value_checks += 1;
-                    if !validate_simple_content(doc, node, |text| s.validate(text), stats) {
-                        return false;
-                    }
-                }
-                TypeDef::Complex(c_tgt) => {
-                    let mut labels: Vec<Sym> = Vec::new();
-                    for child in doc.validation_children(node) {
-                        match doc.label(child) {
-                            Some(l) => labels.push(l),
-                            None => return false,
-                        }
-                    }
-                    let src_complex = self.source.type_def(src).as_complex();
-                    if !self.check_content(src_complex, c_tgt, src, tgt, &labels, stats) {
-                        return false;
-                    }
-                    let children: Vec<NodeId> = doc.validation_children(node).collect();
-                    // Push in reverse so children are processed in order.
-                    for (child, &label) in children.iter().zip(labels.iter()).rev() {
-                        let Some(child_tgt) = c_tgt.child_type(label) else {
-                            return false;
-                        };
-                        match src_complex.and_then(|c| c.child_type(label)) {
-                            Some(child_src) => {
-                                work.push(Work::Cast(*child, child_src, child_tgt));
-                            }
-                            None => {
-                                // No source typing for this child
-                                // (precondition violated or source simple).
-                                work.push(Work::Full(*child, child_tgt));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Content-model membership of the children labels, via the product IDA
-    /// (knowing the string is in the source content model) or the plain
-    /// target DFA.
-    fn check_content(
-        &self,
-        src_complex: Option<&ComplexType>,
-        tgt: &ComplexType,
-        src_id: TypeId,
-        tgt_id: TypeId,
-        labels: &[Sym],
-        stats: &mut ValidationStats,
-    ) -> bool {
-        if self.options.use_ida {
-            if let Some(_src) = src_complex {
-                let ida = self.product_ida(src_id, tgt_id);
-                let out = ida.run(labels);
-                stats.content_symbols_scanned += out.consumed();
-                match out {
-                    IdaOutcome::Accept { early, .. } => {
-                        if early {
-                            stats.ida_early_accepts += 1;
-                        }
-                        return true;
-                    }
-                    IdaOutcome::Reject { early, .. } => {
-                        if early {
-                            stats.ida_early_rejects += 1;
-                        }
-                        return false;
-                    }
-                }
-            }
-        }
-        stats.content_symbols_scanned += labels.len();
-        tgt.dfa.accepts(labels)
     }
 
     /// The cached product IDA for a (source, target) complex type pair.

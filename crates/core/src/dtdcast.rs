@@ -9,9 +9,9 @@
 
 use crate::cast::CastContext;
 use crate::stats::{CastOutcome, ValidationStats};
-use schemacast_automata::IdaOutcome;
+use crate::walk::{Pristine, Route, Walker};
 use schemacast_regex::Sym;
-use schemacast_schema::{TypeDef, TypeId};
+use schemacast_schema::TypeId;
 use schemacast_tree::{Doc, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -158,6 +158,7 @@ impl<'a, 'b> DtdCastValidator<'a, 'b> {
         if self.ctx.target().root_type(root_label).is_none() {
             return (CastOutcome::Invalid, stats);
         }
+        let mut walker = Walker::new(self.ctx, doc, &Pristine);
         for label in index.labels() {
             match self.plan.get(&label) {
                 None | Some(LabelPlan::RejectIfPresent) => {
@@ -170,8 +171,14 @@ impl<'a, 'b> DtdCastValidator<'a, 'b> {
                     stats.subsumed_skips += 1;
                 }
                 Some(LabelPlan::CheckContent { source, target }) => {
+                    // Each element's own content only: its descendants are
+                    // covered by their own labels' plans.
+                    let route = Route::Cast { prune: false };
                     for &node in index.nodes(label) {
-                        if !self.check_node(doc, node, *source, *target, &mut stats) {
+                        if walker
+                            .step(node, *source, *target, route, &mut stats)
+                            .is_err()
+                        {
                             return (CastOutcome::Invalid, stats);
                         }
                     }
@@ -179,57 +186,6 @@ impl<'a, 'b> DtdCastValidator<'a, 'b> {
             }
         }
         (CastOutcome::Valid, stats)
-    }
-
-    /// Checks one element's immediate content (not its descendants).
-    fn check_node(
-        &self,
-        doc: &Doc,
-        node: NodeId,
-        source: Option<TypeId>,
-        target: TypeId,
-        stats: &mut ValidationStats,
-    ) -> bool {
-        stats.nodes_visited += 1;
-        match self.ctx.target().type_def(target) {
-            TypeDef::Simple(s) => {
-                stats.value_checks += 1;
-                crate::full::validate_simple_content(doc, node, |t| s.validate(t), stats)
-            }
-            TypeDef::Complex(c_tgt) => {
-                let mut labels: Vec<Sym> = Vec::new();
-                for child in doc.validation_children(node) {
-                    match doc.label(child) {
-                        Some(l) => labels.push(l),
-                        None => return false,
-                    }
-                }
-                let use_ida = self.ctx.options().use_ida
-                    && source.is_some_and(|s| self.ctx.source().type_def(s).as_complex().is_some());
-                if use_ida {
-                    let ida = self.ctx.product_ida(source.expect("checked above"), target);
-                    let out = ida.run(&labels);
-                    stats.content_symbols_scanned += out.consumed();
-                    match out {
-                        IdaOutcome::Accept { early, .. } => {
-                            if early {
-                                stats.ida_early_accepts += 1;
-                            }
-                            true
-                        }
-                        IdaOutcome::Reject { early, .. } => {
-                            if early {
-                                stats.ida_early_rejects += 1;
-                            }
-                            false
-                        }
-                    }
-                } else {
-                    stats.content_symbols_scanned += labels.len();
-                    c_tgt.dfa.accepts(&labels)
-                }
-            }
-        }
     }
 }
 

@@ -2,15 +2,15 @@
 //!
 //! [`CastContext::validate`] answers yes/no as fast as possible; tooling
 //! (the CLI, editors, brokers that log rejects) wants the failing path and
-//! reason. [`explain`] re-runs the cast algorithm without early-exit
-//! shortcuts on the failing branch and reports the first failure in
-//! document order.
+//! reason. [`explain`] runs the validator's own walk, which stops at
+//! the first failure in document order, and names that element's path and
+//! why it failed.
 
 use crate::cast::CastContext;
-use crate::diag::{pop_segment, push_segment, root_path, Diagnostic, Severity};
+use crate::diag::{push_segment, root_path, Diagnostic, Severity};
 use crate::stats::ValidationStats;
+use crate::walk::{Failure, Pristine, Reason, Walker};
 use schemacast_regex::{Alphabet, Sym};
-use schemacast_schema::{TypeDef, TypeId};
 use schemacast_tree::{Doc, NodeId};
 use std::fmt;
 
@@ -128,165 +128,86 @@ impl fmt::Display for ValidationFailure {
 /// Explains the first failure of `doc` against the context's target schema,
 /// or returns `Ok(())` if the document is valid.
 ///
-/// Uses the same subsumption skips as the fast validator, so explaining a
-/// *valid* document is as cheap as validating it.
+/// Runs the same walk as [`CastContext::validate`], so explaining a
+/// *valid* document is as cheap as validating it, and the two always agree.
 pub fn explain(
     ctx: &CastContext<'_>,
     doc: &Doc,
     alphabet: &Alphabet,
 ) -> Result<(), ValidationFailure> {
-    let root = doc.root();
-    let Some(label) = doc.label(root) else {
-        return Err(ValidationFailure {
-            path: "/".into(),
-            kind: FailureKind::RootNotAllowed {
-                label: "#text".into(),
-            },
-        });
-    };
-    let Some(tgt) = ctx.target().root_type(label) else {
-        return Err(ValidationFailure {
-            path: root_path(alphabet.name(label)),
-            kind: FailureKind::RootNotAllowed {
-                label: alphabet.name(label).to_owned(),
-            },
-        });
-    };
-    let src = ctx.source().root_type(label);
-    let mut path = root_path(alphabet.name(label));
-    explain_node(ctx, doc, root, src, tgt, alphabet, &mut path)
+    validate_explained(ctx, doc, alphabet).map(drop)
 }
 
-fn explain_node(
-    ctx: &CastContext<'_>,
-    doc: &Doc,
-    node: NodeId,
-    src: Option<TypeId>,
-    tgt: TypeId,
-    alphabet: &Alphabet,
-    path: &mut String,
-) -> Result<(), ValidationFailure> {
-    if let Some(s) = src {
-        if ctx.relations().subsumed(s, tgt) {
-            return Ok(());
-        }
-        if ctx.relations().disjoint(s, tgt) {
-            // Disjointness proves failure, but descend for a more precise
-            // reason when cheap; report the type-level fact as the cause.
-            return Err(ValidationFailure {
-                path: path.clone(),
-                kind: FailureKind::DisjointTypes {
-                    source_type: ctx.source().type_name(s).to_owned(),
-                    target_type: ctx.target().type_name(tgt).to_owned(),
-                },
-            });
-        }
-    }
-    match ctx.target().type_def(tgt) {
-        TypeDef::Simple(simple) => {
-            let children: Vec<NodeId> = doc.validation_children(node).collect();
-            let value = match children.as_slice() {
-                [] => String::new(),
-                [only] => match doc.text(*only) {
-                    Some(t) => t.to_owned(),
-                    None => {
-                        return Err(ValidationFailure {
-                            path: path.clone(),
-                            kind: FailureKind::NotSimpleContent,
-                        })
-                    }
-                },
-                _ => {
-                    return Err(ValidationFailure {
-                        path: path.clone(),
-                        kind: FailureKind::NotSimpleContent,
-                    })
-                }
-            };
-            if simple.validate(&value) {
-                Ok(())
-            } else {
-                Err(ValidationFailure {
-                    path: path.clone(),
-                    kind: FailureKind::InvalidValue {
-                        type_name: ctx.target().type_name(tgt).to_owned(),
-                        value,
-                    },
-                })
-            }
-        }
-        TypeDef::Complex(c_tgt) => {
-            let mut labels: Vec<Sym> = Vec::new();
-            for child in doc.validation_children(node) {
-                match doc.label(child) {
-                    Some(l) => labels.push(l),
-                    None => {
-                        return Err(ValidationFailure {
-                            path: path.clone(),
-                            kind: FailureKind::TextInElementContent,
-                        })
-                    }
-                }
-            }
-            if !c_tgt.dfa.accepts(&labels) {
-                return Err(ValidationFailure {
-                    path: path.clone(),
-                    kind: FailureKind::ContentModel {
-                        type_name: ctx.target().type_name(tgt).to_owned(),
-                        found: labels
-                            .iter()
-                            .map(|&l| alphabet.name(l).to_owned())
-                            .collect(),
-                    },
-                });
-            }
-            let src_complex = src.and_then(|s| ctx.source().type_def(s).as_complex());
-            let children: Vec<NodeId> = doc.validation_children(node).collect();
-            for (i, (child, &label)) in children.iter().zip(labels.iter()).enumerate() {
-                let Some(child_tgt) = c_tgt.child_type(label) else {
-                    return Err(ValidationFailure {
-                        path: path.clone(),
-                        kind: FailureKind::ContentModel {
-                            type_name: ctx.target().type_name(tgt).to_owned(),
-                            found: labels
-                                .iter()
-                                .map(|&l| alphabet.name(l).to_owned())
-                                .collect(),
-                        },
-                    });
-                };
-                let child_src = src_complex.and_then(|c| c.child_type(label));
-                let len = push_segment(path, alphabet.name(label), i);
-                explain_node(ctx, doc, *child, child_src, child_tgt, alphabet, path)?;
-                pop_segment(path, len);
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Convenience: validate and, on failure, explain — one call for tooling.
+/// Validates in one pass and, on failure, explains — one call for tooling.
+/// The counters are those of [`CastContext::validate_with_stats`].
 pub fn validate_explained(
     ctx: &CastContext<'_>,
     doc: &Doc,
     alphabet: &Alphabet,
 ) -> Result<ValidationStats, ValidationFailure> {
-    let (out, stats) = ctx.validate_with_stats(doc);
-    if out.is_valid() {
-        Ok(stats)
-    } else {
-        explain(ctx, doc, alphabet).map(|()| stats).and_then(|_| {
-            // The fast path said invalid but the explainer found nothing:
-            // can only happen if the fast path used a disjointness prune
-            // on a branch the explainer skipped via subsumption — not
-            // possible, since both use the same relations. Treat as a
-            // generic failure at the root for robustness.
-            Err(ValidationFailure {
-                path: "/".into(),
-                kind: FailureKind::NotSimpleContent,
-            })
-        })
+    let mut stats = ValidationStats::default();
+    match Walker::new(ctx, doc, &Pristine).walk_doc((), &mut stats) {
+        Ok(()) => Ok(stats),
+        Err(failure) => Err(describe(ctx, doc, alphabet, failure)),
     }
+}
+
+/// Names the failing element's path and the reason's types and values.
+fn describe(
+    ctx: &CastContext<'_>,
+    doc: &Doc,
+    alphabet: &Alphabet,
+    Failure { node, reason }: Failure,
+) -> ValidationFailure {
+    let name = |label: Option<Sym>| label.map_or("#text", |l| alphabet.name(l));
+    let kind = match reason {
+        Reason::Root => FailureKind::RootNotAllowed {
+            label: name(doc.label(node)).to_owned(),
+        },
+        Reason::Disjoint { src, tgt } => FailureKind::DisjointTypes {
+            source_type: ctx.source().type_name(src).to_owned(),
+            target_type: ctx.target().type_name(tgt).to_owned(),
+        },
+        Reason::Content(tgt) => FailureKind::ContentModel {
+            type_name: ctx.target().type_name(tgt).to_owned(),
+            found: doc
+                .validation_children(node)
+                .map(|c| name(doc.label(c)).to_owned())
+                .collect(),
+        },
+        Reason::Value(tgt) => FailureKind::InvalidValue {
+            type_name: ctx.target().type_name(tgt).to_owned(),
+            value: doc
+                .validation_children(node)
+                .find_map(|c| doc.text(c))
+                .unwrap_or_default()
+                .to_owned(),
+        },
+        Reason::Text => FailureKind::TextInElementContent,
+        Reason::NotSimple => FailureKind::NotSimpleContent,
+    };
+    ValidationFailure {
+        path: element_path(doc, node, alphabet),
+        kind,
+    }
+}
+
+/// The `/root/child[i]` path of `node`, where `i` counts the parent's
+/// validation children (indentation whitespace excluded).
+fn element_path(doc: &Doc, node: NodeId, alphabet: &Alphabet) -> String {
+    let name = |n: NodeId| doc.label(n).map_or("", |l| alphabet.name(l));
+    let mut steps: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut cur = node;
+    while let Some(parent) = doc.parent(cur) {
+        steps.push((parent, cur));
+        cur = parent;
+    }
+    let mut path = root_path(name(cur));
+    for &(parent, child) in steps.iter().rev() {
+        let index = doc.validation_children(parent).position(|c| c == child);
+        push_segment(&mut path, name(child), index.unwrap_or_default());
+    }
+    path
 }
 
 #[cfg(test)]

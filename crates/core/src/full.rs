@@ -42,8 +42,7 @@ impl<'a> FullValidator<'a> {
     }
 
     /// Validates the subtree rooted at `node` against type `t`,
-    /// accumulating stats. Exposed for reuse by the cast validators (the
-    /// "validate explicitly" cases of §3.3).
+    /// accumulating stats.
     ///
     /// Iterative (explicit work stack): document depth does not consume
     /// call-stack frames, so arbitrarily deep documents are safe.
@@ -91,10 +90,9 @@ impl<'a> FullValidator<'a> {
     }
 }
 
-/// Shared helper: checks that `node`'s content is a single text node (or
-/// nothing, meaning the empty string) satisfying `check`. Counts the text
-/// node as visited.
-pub(crate) fn validate_simple_content(
+/// Checks that `node`'s content is a single text node (or nothing, meaning
+/// the empty string) satisfying `check`. Counts the text node as visited.
+fn validate_simple_content(
     doc: &Doc,
     node: NodeId,
     check: impl FnOnce(&str) -> bool,

@@ -9,6 +9,12 @@
 //!
 //! * [`relations::TypeRelations`] — the `R_sub` / `R_dis` fixpoints over the
 //!   type pairs of the two schemas (Definitions 4–5, Theorems 1–2).
+//! * `walk` (private) — the one iterative top-down walk behind every tree
+//!   path below: a per-element step (simple value, content model via the
+//!   product IDA or the target DFA, child typing) on an explicit work
+//!   stack, configured by a skip/prune policy — the plain cast, the
+//!   static fast path's exemption walk, or the §3.3 Δ-walk — and stopping
+//!   at the first failing element, which [`explain::explain`] names.
 //! * [`cast::CastContext`] — schema-cast validation without modifications
 //!   (§3.2), with immediate-decision-automaton content-model checks (§4) and
 //!   ablation switches ([`cast::CastOptions`]).
@@ -20,7 +26,7 @@
 //!   from the product IDAs, enabling revalidation that never touches the
 //!   document for statically decided edit scripts.
 //! * [`dtdcast::DtdCastValidator`] — the label-indexed DTD optimization
-//!   (§3.4).
+//!   (§3.4), running the walk's per-element step on indexed elements.
 //! * [`certify::certify_context`] — the certifying-analysis layer: every
 //!   static claim above (relation memberships, IDA decision sets, safety
 //!   verdicts) packaged as a certificate and validated by the independent
@@ -32,8 +38,11 @@
 //!   relations, one-pass `(v_1, v_N)` validation, migration-script
 //!   verification, and composition certificates
 //!   ([`chain::certify_chain`]).
+//! * [`explain::explain`] — the failing element's path and reason, from
+//!   the same walk as [`cast::CastContext::validate`].
 //! * [`full::FullValidator`] — the Xerces-style baseline the paper compares
-//!   against, instrumented identically.
+//!   against, instrumented identically (kept separate from the walk as the
+//!   reference the cast is measured and checked against).
 
 pub mod cast;
 pub mod certify;
@@ -51,6 +60,7 @@ pub mod safety;
 pub mod script;
 pub mod stats;
 pub mod stream;
+mod walk;
 pub mod witness;
 
 pub use cast::{CastContext, CastOptions};

@@ -9,13 +9,13 @@
 //! the state pair obtained from the old and new prefixes (Prop. 2).
 
 use crate::cast::CastContext;
-use crate::full::FullValidator;
 use crate::idacache::ShardedCache;
 use crate::stats::{CastOutcome, ValidationStats};
+use crate::walk::{Policy, Route, Walker};
 use loomlite::sync::Arc;
 use schemacast_automata::StringCast;
 use schemacast_regex::Sym;
-use schemacast_schema::{TypeDef, TypeId};
+use schemacast_schema::TypeId;
 use schemacast_tree::{DeltaDoc, DeltaState, NodeId, ProjLabel, TrieCursor};
 
 /// Validator for edited documents over a preprocessed [`CastContext`].
@@ -58,141 +58,11 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
             Some(ProjLabel::Elem(old_label)) => self.ctx.source().root_type(old_label),
             _ => None,
         };
+        let policy = Edited { mods: self, dd };
         let cursor = dd.trie().cursor();
-        let ok = self.validate_node(dd, root, src, tgt, cursor, &mut stats);
+        let walker = Walker::new(self.ctx, doc, &policy);
+        let ok = walker.walk(root, src, tgt, cursor, &mut stats).is_ok();
         (CastOutcome::from_bool(ok), stats)
-    }
-
-    /// The §3.3 case analysis for one subtree.
-    fn validate_node(
-        &self,
-        dd: &DeltaDoc,
-        node: NodeId,
-        src: Option<TypeId>,
-        tgt: TypeId,
-        cursor: TrieCursor<'_>,
-        stats: &mut ValidationStats,
-    ) -> bool {
-        let doc = dd.doc();
-        // Case 3: inserted subtree — no prior knowledge, validate fully.
-        if matches!(dd.delta(node), DeltaState::Inserted) {
-            stats.full_validations += 1;
-            return FullValidator::new(self.ctx.target()).validate_node(doc, node, tgt, stats);
-        }
-        // Case 1: untouched subtree — plain schema cast (§3.2).
-        if !cursor.subtree_modified() {
-            match src {
-                Some(s) => return self.ctx.cast_validate(doc, node, s, tgt, stats),
-                None => {
-                    stats.full_validations += 1;
-                    return FullValidator::new(self.ctx.target())
-                        .validate_node(doc, node, tgt, stats);
-                }
-            }
-        }
-        // Case 4: node present in both versions, but its label or content
-        // (or something below) changed.
-        stats.nodes_visited += 1;
-        match self.ctx.target().type_def(tgt) {
-            TypeDef::Simple(simple) => {
-                stats.value_checks += 1;
-                // New-view children, ignoring ignorable whitespace.
-                let live: Vec<NodeId> = dd
-                    .new_children(node)
-                    .filter(|&c| !doc.is_ignorable_ws(c))
-                    .collect();
-                match live.as_slice() {
-                    [] => simple.validate(""),
-                    [only] => {
-                        stats.nodes_visited += 1;
-                        match doc.text(*only) {
-                            Some(text) => simple.validate(text),
-                            None => false,
-                        }
-                    }
-                    _ => false,
-                }
-            }
-            TypeDef::Complex(c_tgt) => {
-                // Proj_new over the live children.
-                let mut new_labels: Vec<Sym> = Vec::new();
-                for c in dd.new_children(node) {
-                    if doc.is_ignorable_ws(c) {
-                        continue;
-                    }
-                    match dd.proj_new(c) {
-                        Some(ProjLabel::Elem(l)) => new_labels.push(l),
-                        Some(ProjLabel::Chi) => return false, // text in element content
-                        None => unreachable!("new_children filters deleted nodes"),
-                    }
-                }
-                let src_complex = src.and_then(|s| self.ctx.source().type_def(s).as_complex());
-                // Content-model check, with §4.3 machinery when the source
-                // content model is available and the old children are all
-                // elements.
-                let content_ok = if self.ctx.options().use_ida {
-                    if let (Some(_), Some(s)) = (src_complex, src) {
-                        let mut old_labels: Vec<Sym> = Vec::with_capacity(new_labels.len());
-                        let mut old_ok = true;
-                        for c in dd.old_children(node) {
-                            if doc.is_ignorable_ws(c) {
-                                continue;
-                            }
-                            match dd.proj_old(c) {
-                                Some(ProjLabel::Elem(l)) => old_labels.push(l),
-                                _ => {
-                                    old_ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if old_ok {
-                            let sc = self.string_cast(s, tgt);
-                            let d = sc.revalidate_with_mods(&old_labels, &new_labels);
-                            stats.content_symbols_scanned += d.symbols_scanned;
-                            d.accepted
-                        } else {
-                            stats.content_symbols_scanned += new_labels.len();
-                            c_tgt.dfa.accepts(&new_labels)
-                        }
-                    } else {
-                        stats.content_symbols_scanned += new_labels.len();
-                        c_tgt.dfa.accepts(&new_labels)
-                    }
-                } else {
-                    stats.content_symbols_scanned += new_labels.len();
-                    c_tgt.dfa.accepts(&new_labels)
-                };
-                if !content_ok {
-                    return false;
-                }
-                // Recurse into live children, navigating the trie by the
-                // child's index in the *full* child list (Dewey coordinates).
-                let mut label_idx = 0;
-                for (full_idx, &c) in doc.children(node).iter().enumerate() {
-                    if matches!(dd.delta(c), DeltaState::Deleted) || doc.is_ignorable_ws(c) {
-                        continue;
-                    }
-                    // Text children were rejected above for complex content.
-                    let label = new_labels[label_idx];
-                    label_idx += 1;
-                    let Some(child_tgt) = c_tgt.child_type(label) else {
-                        return false;
-                    };
-                    let child_src = match dd.proj_old(c) {
-                        Some(ProjLabel::Elem(old_label)) => {
-                            src_complex.and_then(|sc| sc.child_type(old_label))
-                        }
-                        _ => None,
-                    };
-                    let child_cursor = cursor.child(full_idx as u32);
-                    if !self.validate_node(dd, c, child_src, child_tgt, child_cursor, stats) {
-                        return false;
-                    }
-                }
-                true
-            }
-        }
     }
 
     fn string_cast(&self, src: TypeId, tgt: TypeId) -> Arc<StringCast> {
@@ -215,6 +85,82 @@ impl<'a, 'b> ModsValidator<'a, 'b> {
                 .clone();
             StringCast::new(a, b).with_reverse()
         })
+    }
+}
+
+/// The §3.3 walk policy over the new view of a Δ-encoded tree:
+///
+/// * inserted subtrees carry no prior knowledge and are validated against
+///   the target alone;
+/// * untouched subtrees (`modified(v)` false) get the plain §3.2 cast;
+/// * every other node is present in both versions with an edit at or
+///   below it: it is checked without pruning, and its child word is
+///   revalidated against the old one with the §4.3 machinery.
+struct Edited<'v, 'a, 'b> {
+    mods: &'v ModsValidator<'a, 'b>,
+    dd: &'v DeltaDoc,
+}
+
+impl<'v> Policy for Edited<'v, '_, '_> {
+    type Mark = TrieCursor<'v>;
+
+    fn route(&self, node: NodeId, src: Option<TypeId>, cursor: TrieCursor<'v>) -> Route {
+        if matches!(self.dd.delta(node), DeltaState::Inserted) {
+            Route::Full
+        } else if cursor.subtree_modified() {
+            Route::Modified
+        } else if src.is_some() {
+            Route::Cast { prune: true }
+        } else {
+            Route::Full
+        }
+    }
+
+    /// Navigates the trie by the child's index in the *full* child list
+    /// (Dewey coordinates).
+    fn child_mark(&self, cursor: TrieCursor<'v>, index: usize) -> TrieCursor<'v> {
+        cursor.child(index as u32)
+    }
+
+    fn deleted(&self, node: NodeId) -> bool {
+        matches!(self.dd.delta(node), DeltaState::Deleted)
+    }
+
+    fn old_label(&self, node: NodeId, label: Sym) -> Option<Sym> {
+        match self.dd.delta(node) {
+            DeltaState::Inserted => None,
+            DeltaState::Relabeled { old } => Some(old),
+            _ => Some(label),
+        }
+    }
+
+    /// Scans the changed region with `b_immed` and the unchanged remainder
+    /// with the product IDA, when the old children are all elements.
+    fn revalidate(
+        &self,
+        node: NodeId,
+        src: TypeId,
+        tgt: TypeId,
+        new: &[Sym],
+        stats: &mut ValidationStats,
+    ) -> Option<bool> {
+        let doc = self.dd.doc();
+        let mut old: Vec<Sym> = Vec::with_capacity(new.len());
+        for c in self.dd.old_children(node) {
+            if doc.is_ignorable_ws(c) {
+                continue;
+            }
+            match self.dd.proj_old(c) {
+                Some(ProjLabel::Elem(l)) => old.push(l),
+                _ => return None,
+            }
+        }
+        let d = self
+            .mods
+            .string_cast(src, tgt)
+            .revalidate_with_mods(&old, new);
+        stats.content_symbols_scanned += d.symbols_scanned;
+        Some(d.accepted)
     }
 }
 

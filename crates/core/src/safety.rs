@@ -36,6 +36,7 @@
 
 use crate::cast::CastContext;
 use crate::stats::{CastOutcome, ValidationStats};
+use crate::walk::{Policy, Route, Walker};
 use loomlite::sync::Arc;
 use schemacast_automata::safety::EditWordAnalysis;
 use schemacast_regex::Sym;
@@ -46,14 +47,35 @@ use std::collections::{HashMap, HashSet};
 
 pub use schemacast_automata::safety::SafetyVerdict as Verdict;
 
-/// Subtrees the exemption-aware cast walk skips or refuses to prune
-/// (see [`CastContext::cast_validate_exempt`]).
-pub(crate) struct Exemptions {
+/// The walk policy of the all-`Safe` fast path: a §3.2 cast of the
+/// original document that skips the subtrees of edited sites and refuses
+/// to prune their ancestors (see [`CastContext::validate_with_exemptions`]).
+struct Exemptions {
     /// Edited sites: their subtrees are counted valid without inspection.
-    pub(crate) skip: HashSet<NodeId>,
+    skip: HashSet<NodeId>,
     /// Strict ancestors of edited sites: subsumption/disjointness pruning
     /// is disabled because their subtrees are not source-valid post-edit.
-    pub(crate) unpruned: HashSet<NodeId>,
+    /// Their content-model checks stay sound: an ancestor's own child word
+    /// is untouched by edits below it.
+    unpruned: HashSet<NodeId>,
+}
+
+impl Policy for Exemptions {
+    type Mark = ();
+
+    fn route(&self, node: NodeId, src: Option<TypeId>, (): ()) -> Route {
+        if src.is_none() {
+            Route::Full
+        } else if self.skip.contains(&node) {
+            Route::Skip
+        } else {
+            Route::Cast {
+                prune: !self.unpruned.contains(&node),
+            }
+        }
+    }
+
+    fn child_mark(&self, (): (), _index: usize) {}
 }
 
 /// A symbol no schema ever interns: steps every DFA into its sink, standing
@@ -550,19 +572,16 @@ impl<'a> CastContext<'a> {
         let exemptions = Exemptions { skip, unpruned };
 
         let mut stats = ValidationStats::default();
-        let root = doc.root();
-        let Some(label) = doc.label(root) else {
-            return (CastOutcome::Invalid, stats);
-        };
-        let Some(tgt_type) = self.target().root_type(label) else {
-            return (CastOutcome::Invalid, stats);
-        };
-        let Some(src_type) = self.source().root_type(label) else {
-            // No source typing: the callers above never get here (site
-            // typing resolved through the source), but degrade gracefully.
-            return (CastOutcome::Invalid, stats);
-        };
-        let ok = self.cast_validate_exempt(doc, root, src_type, tgt_type, &mut stats, &exemptions);
+        // No source typing for the root: the callers above never get here
+        // (site typing resolved through the source), but degrade gracefully
+        // rather than validate the unedited document in full.
+        let typed = doc
+            .label(doc.root())
+            .is_some_and(|l| self.source().root_type(l).is_some());
+        let ok = typed
+            && Walker::new(self, doc, &exemptions)
+                .walk_doc((), &mut stats)
+                .is_ok();
         (CastOutcome::from_bool(ok), stats)
     }
 

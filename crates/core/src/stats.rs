@@ -3,95 +3,99 @@
 
 use std::ops::AddAssign;
 
-/// Counters collected during one validation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ValidationStats {
-    /// Tree nodes the validator descended into (the paper's "nodes visited",
-    /// Table 3). Skipped subtrees contribute only their root.
-    pub nodes_visited: usize,
-    /// Symbols consumed by content-model automata.
-    pub content_symbols_scanned: usize,
-    /// Subtrees skipped because their type pair is in `R_sub`.
-    pub subsumed_skips: usize,
-    /// Validations cut short because a type pair is disjoint.
-    pub disjoint_rejects: usize,
-    /// Content-model checks decided early by an immediate-accept state.
-    pub ida_early_accepts: usize,
-    /// Content-model checks decided early by an immediate-reject state.
-    pub ida_early_rejects: usize,
-    /// Subtrees validated from scratch (inserted content, or no source
-    /// type available).
-    pub full_validations: usize,
-    /// Simple values checked against facets.
-    pub value_checks: usize,
-    /// Edited documents accepted by the static fast path (all edits
-    /// statically `Safe`; the edited subtrees were never inspected).
-    pub static_skips: usize,
-    /// Edited documents rejected by the static fast path (some edit
-    /// statically `Unsafe`; the document was never inspected).
-    pub static_rejects: usize,
-    /// Edited documents accepted by the *script-level* analyzer: the
-    /// whole script's net effect per touched site was statically decided
-    /// valid, after normalization, without applying the edits.
-    pub script_skips: usize,
-    /// Edited documents rejected by the script-level analyzer: some
-    /// site's net child word can never be target-valid.
-    pub script_rejects: usize,
-    /// Raw bytes the streaming validator scanned past without tokenization
-    /// (lexical subtree skipping). Tree validators and the depth-counting
-    /// event path leave this 0 — the bytes of a skipped subtree are still
-    /// *read* by the scanner's state machine, but never lexed into names,
-    /// attributes, or entity-resolved text.
-    pub bytes_skipped: usize,
-    /// Start/end tag events that were never tokenized because the subtree
-    /// containing them was skipped lexically. A self-closing tag counts as
-    /// two (the `Start`/`End` pair it would have produced); the skipped
-    /// element's own end tag is included.
-    pub events_avoided: usize,
-    /// Wall-clock microseconds spent building the stage-1 structural index
-    /// (the tape) before streaming validation. Paths that do not build a
-    /// tape (tree validators, the generic event path) leave this 0.
-    pub index_build_micros: usize,
-    /// Structural tape entries produced by the stage-1 indexer for the
-    /// validated document(s).
-    pub tape_events: usize,
-    /// Subtree skips served as O(1) tape hops (cursor jump to the matching
-    /// end tag's tape entry) rather than byte rescans. On the tape-fed
-    /// path every lexical skip is a hop; the scalar reference lexer and
-    /// the depth-counting event path leave this 0.
-    pub tape_skip_hops: usize,
-    /// Certificates emitted by the certification pass (`--certify`): every
-    /// static claim packaged for the independent checker.
-    pub certs_emitted: usize,
-    /// Objects the independent checker examined (DFA tables plus
-    /// certificates of every kind).
-    pub certs_checked: usize,
-    /// Wall-clock microseconds the independent checker spent validating.
-    pub cert_check_micros: usize,
+/// Declares [`ValidationStats`] and its field-wise `AddAssign` from one
+/// field list, so a new counter cannot be left out of the fold.
+macro_rules! counters {
+    ($(#[$attr:meta])* pub struct $name:ident {
+        $($(#[$doc:meta])* pub $field:ident: usize,)*
+    }) => {
+        $(#[$attr])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: usize,)*
+        }
+
+        impl AddAssign for $name {
+            fn add_assign(&mut self, rhs: $name) {
+                $(self.$field += rhs.$field;)*
+            }
+        }
+
+        #[cfg(test)]
+        impl $name {
+            /// Every counter, in declaration order.
+            fn fields_mut(&mut self) -> Vec<&mut usize> {
+                vec![$(&mut self.$field),*]
+            }
+        }
+    };
 }
 
-impl AddAssign for ValidationStats {
-    fn add_assign(&mut self, rhs: ValidationStats) {
-        self.nodes_visited += rhs.nodes_visited;
-        self.content_symbols_scanned += rhs.content_symbols_scanned;
-        self.subsumed_skips += rhs.subsumed_skips;
-        self.disjoint_rejects += rhs.disjoint_rejects;
-        self.ida_early_accepts += rhs.ida_early_accepts;
-        self.ida_early_rejects += rhs.ida_early_rejects;
-        self.full_validations += rhs.full_validations;
-        self.value_checks += rhs.value_checks;
-        self.static_skips += rhs.static_skips;
-        self.static_rejects += rhs.static_rejects;
-        self.script_skips += rhs.script_skips;
-        self.script_rejects += rhs.script_rejects;
-        self.bytes_skipped += rhs.bytes_skipped;
-        self.events_avoided += rhs.events_avoided;
-        self.index_build_micros += rhs.index_build_micros;
-        self.tape_events += rhs.tape_events;
-        self.tape_skip_hops += rhs.tape_skip_hops;
-        self.certs_emitted += rhs.certs_emitted;
-        self.certs_checked += rhs.certs_checked;
-        self.cert_check_micros += rhs.cert_check_micros;
+counters! {
+    /// Counters collected during one validation run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ValidationStats {
+        /// Tree nodes the validator descended into (the paper's "nodes visited",
+        /// Table 3). Skipped subtrees contribute only their root.
+        pub nodes_visited: usize,
+        /// Symbols consumed by content-model automata.
+        pub content_symbols_scanned: usize,
+        /// Subtrees skipped because their type pair is in `R_sub`.
+        pub subsumed_skips: usize,
+        /// Validations cut short because a type pair is disjoint.
+        pub disjoint_rejects: usize,
+        /// Content-model checks decided early by an immediate-accept state.
+        pub ida_early_accepts: usize,
+        /// Content-model checks decided early by an immediate-reject state.
+        pub ida_early_rejects: usize,
+        /// Subtrees validated from scratch (inserted content, or no source
+        /// type available).
+        pub full_validations: usize,
+        /// Simple values checked against facets.
+        pub value_checks: usize,
+        /// Edited documents accepted by the static fast path (all edits
+        /// statically `Safe`; the edited subtrees were never inspected).
+        pub static_skips: usize,
+        /// Edited documents rejected by the static fast path (some edit
+        /// statically `Unsafe`; the document was never inspected).
+        pub static_rejects: usize,
+        /// Edited documents accepted by the *script-level* analyzer: the
+        /// whole script's net effect per touched site was statically decided
+        /// valid, after normalization, without applying the edits.
+        pub script_skips: usize,
+        /// Edited documents rejected by the script-level analyzer: some
+        /// site's net child word can never be target-valid.
+        pub script_rejects: usize,
+        /// Raw bytes the streaming validator scanned past without tokenization
+        /// (lexical subtree skipping). Tree validators and the depth-counting
+        /// event path leave this 0 — the bytes of a skipped subtree are still
+        /// *read* by the scanner's state machine, but never lexed into names,
+        /// attributes, or entity-resolved text.
+        pub bytes_skipped: usize,
+        /// Start/end tag events that were never tokenized because the subtree
+        /// containing them was skipped lexically. A self-closing tag counts as
+        /// two (the `Start`/`End` pair it would have produced); the skipped
+        /// element's own end tag is included.
+        pub events_avoided: usize,
+        /// Wall-clock microseconds spent building the stage-1 structural index
+        /// (the tape) before streaming validation. Paths that do not build a
+        /// tape (tree validators, the generic event path) leave this 0.
+        pub index_build_micros: usize,
+        /// Structural tape entries produced by the stage-1 indexer for the
+        /// validated document(s).
+        pub tape_events: usize,
+        /// Subtree skips served as O(1) tape hops (cursor jump to the matching
+        /// end tag's tape entry) rather than byte rescans. On the tape-fed
+        /// path every lexical skip is a hop; the scalar reference lexer and
+        /// the depth-counting event path leave this 0.
+        pub tape_skip_hops: usize,
+        /// Certificates emitted by the certification pass (`--certify`): every
+        /// static claim packaged for the independent checker.
+        pub certs_emitted: usize,
+        /// Objects the independent checker examined (DFA tables plus
+        /// certificates of every kind).
+        pub certs_checked: usize,
+        /// Wall-clock microseconds the independent checker spent validating.
+        pub cert_check_micros: usize,
     }
 }
 
@@ -140,6 +144,17 @@ mod tests {
         assert_eq!(a.nodes_visited, 5);
         assert_eq!(a.content_symbols_scanned, 5);
         assert_eq!(a.subsumed_skips, 1);
+
+        // Every field accumulates into itself.
+        let (mut a, mut b) = (ValidationStats::default(), ValidationStats::default());
+        for (i, (x, y)) in a.fields_mut().into_iter().zip(b.fields_mut()).enumerate() {
+            *x = i + 1;
+            *y = 100 * (i + 1);
+        }
+        a += b;
+        for (i, x) in a.fields_mut().into_iter().enumerate() {
+            assert_eq!(*x, 101 * (i + 1), "field {i}");
+        }
     }
 
     #[test]

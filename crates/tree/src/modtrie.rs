@@ -122,6 +122,20 @@ impl ModTrie {
     }
 }
 
+impl Drop for ModTrie {
+    /// Frees the trie with an explicit stack: a mark at the bottom of a deep
+    /// document makes the trie as deep as the document, and the derived
+    /// drop would recurse once per level.
+    fn drop(&mut self) {
+        let mut stack: Vec<TrieNode> = std::mem::take(&mut self.root.children)
+            .into_values()
+            .collect();
+        while let Some(mut node) = stack.pop() {
+            stack.extend(std::mem::take(&mut node.children).into_values());
+        }
+    }
+}
+
 /// A position in the trie mirroring a position in the document tree.
 ///
 /// A cursor may be *vacant* (no trie node exists for the tree position),

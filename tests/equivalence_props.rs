@@ -5,7 +5,10 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use schemacast::core::{CastContext, CastOptions, DtdCastValidator, LabelIndex, ModsValidator};
+use schemacast::core::{
+    explain, validate_explained, CastContext, CastOptions, DtdCastValidator, LabelIndex,
+    ModsValidator,
+};
 use schemacast::regex::Alphabet;
 use schemacast::tree::DeltaDoc;
 use schemacast::workload::synth::{
@@ -63,6 +66,14 @@ proptest! {
                 want,
                 "options {:?}", opts
             );
+            // The explainer runs the same walk: it fails exactly when the
+            // fast verdict is invalid, and otherwise reports its counters.
+            let (outcome, stats) = ctx.validate_with_stats(&doc);
+            prop_assert_eq!(explain(&ctx, &doc, &ab).is_err(), !outcome.is_valid());
+            prop_assert_eq!(
+                validate_explained(&ctx, &doc, &ab).ok(),
+                outcome.is_valid().then_some(stats)
+            );
         }
     }
 
@@ -85,6 +96,12 @@ proptest! {
         random_edits(&mut dd, &mut ab, &mut rng, n_edits);
         let want = target.accepts_document(&dd.committed());
         prop_assert_eq!(mv.validate(&dd).is_valid(), want);
+        // On the edited tree, explain and validate still agree.
+        let edited = dd.committed();
+        prop_assert_eq!(
+            explain(&ctx, &edited, &ab).is_err(),
+            !ctx.validate(&edited).is_valid()
+        );
     }
 
     /// Subsumption skipping never changes the verdict, only the work:
