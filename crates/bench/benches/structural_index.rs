@@ -6,6 +6,9 @@
 //!   cost: zero allocation).
 //! * `tape_parse` — full tokenization through [`PullParser`] running off
 //!   the tape (index built per iteration, as `validate_str` does).
+//! * `tape_step` — the same tokenization through the step cursor
+//!   ([`PullParser::step`]) the streaming validator drives; the gap to
+//!   `tape_parse` is what the event adapter costs.
 //! * `scalar_parse` — the preserved per-byte reference lexer
 //!   ([`ScalarParser`]) over the same bytes; the gap to `tape_parse` is
 //!   what stage-1 classification buys the tokenizer.
@@ -45,6 +48,17 @@ fn bench(c: &mut Criterion) {
                 events += 1;
             }
             black_box(events)
+        })
+    });
+
+    group.bench_with_input(BenchmarkId::new("tape_step", n), &text, |b, t| {
+        b.iter(|| {
+            let mut parser = PullParser::new(black_box(t));
+            let mut steps = 0usize;
+            while parser.step().expect("well-formed").is_some() {
+                steps += 1;
+            }
+            black_box(steps)
         })
     });
 

@@ -20,18 +20,29 @@ use std::fmt;
 #[derive(Debug, Clone, Default)]
 pub struct LabelIndex {
     buckets: HashMap<Sym, Vec<NodeId>>,
+    /// Labels in order of first appearance in pre-order, so a walk over
+    /// the index (and the counters of a rejecting one) is the same in
+    /// every process.
+    order: Vec<Sym>,
 }
 
 impl LabelIndex {
     /// Builds the index in one pre-order pass.
     pub fn build(doc: &Doc) -> LabelIndex {
-        let mut buckets: HashMap<Sym, Vec<NodeId>> = HashMap::new();
+        let mut index = LabelIndex::default();
         for node in doc.preorder_iter() {
             if let Some(label) = doc.label(node) {
-                buckets.entry(label).or_default().push(node);
+                index
+                    .buckets
+                    .entry(label)
+                    .or_insert_with(|| {
+                        index.order.push(label);
+                        Vec::new()
+                    })
+                    .push(node);
             }
         }
-        LabelIndex { buckets }
+        index
     }
 
     /// All element nodes with the given label.
@@ -39,9 +50,10 @@ impl LabelIndex {
         self.buckets.get(&label).map_or(&[], Vec::as_slice)
     }
 
-    /// Labels occurring in the document.
+    /// Labels occurring in the document, in order of first appearance in
+    /// pre-order.
     pub fn labels(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.buckets.keys().copied()
+        self.order.iter().copied()
     }
 
     /// Number of occurrences of a label.

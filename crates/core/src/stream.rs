@@ -11,14 +11,17 @@
 //! Two execution paths share the frame machinery:
 //!
 //! * [`StreamingCast::validate_pull`] (and [`validate_str`] on top of it) —
-//!   the production fast path. It drives the zero-copy pull parser
-//!   directly: element labels arrive pre-interned as dense [`NameId`]s and
-//!   are resolved to schema symbols through a reusable
-//!   [`SymCache`] (one alphabet hash per *distinct* name per document), and
-//!   a subsumed subtree (`(source, target) ∈ R_sub`) is skipped
-//!   **lexically** with [`PullParser::skip_subtree`] — a raw byte scan to
-//!   the matching end tag, no tokenization. The bytes and tag events so
-//!   avoided are recorded in [`ValidationStats::bytes_skipped`] /
+//!   the production fast path. It drives the parser's step cursor
+//!   ([`PullParser::step`]) over the structural tape, with no event
+//!   plumbing in between: element labels arrive pre-interned as dense
+//!   [`NameId`]s and are resolved to schema symbols through a reusable
+//!   [`SymCache`] (one alphabet hash per *distinct* name per document); a
+//!   self-closing element is one step, closed in place; whitespace runs
+//!   are settled by the tape's build-time flag; and a subsumed subtree
+//!   (`(source, target) ∈ R_sub`) is skipped **lexically** with
+//!   [`PullParser::skip_subtree`] — one hop to the matching end tag, no
+//!   tokenization. The bytes and tag events so avoided are recorded in
+//!   [`ValidationStats::bytes_skipped`] /
 //!   [`ValidationStats::events_avoided`].
 //! * [`StreamingCast::validate_events`] — the generic path over any event
 //!   iterator (sockets, replay logs, tests). Subsumed subtrees are skipped
@@ -38,7 +41,7 @@ use schemacast_automata::hot::state_flags;
 use schemacast_automata::{HotDfa, ProductIda, StateId};
 use schemacast_regex::{Alphabet, Sym, SymCache};
 use schemacast_schema::{ComplexType, SimpleType, TypeDef, TypeId};
-use schemacast_xml::{PullEvent, PullParser, StructuralIndex, XmlError};
+use schemacast_xml::{PullEvent, PullParser, Step, StructuralIndex, XmlError};
 use std::borrow::Cow;
 use std::time::Instant;
 
@@ -63,37 +66,57 @@ pub struct StreamScratch {
     pairs: PairMemo,
 }
 
+impl StreamScratch {
+    /// The structural tape of the last document
+    /// [`StreamingCast::validate_str_with`] ran on.
+    pub fn tape(&self) -> &StructuralIndex {
+        &self.tape
+    }
+}
+
 /// Per-document memo of product IDAs by type pair. The context's sharded
 /// cache already dedups construction globally; this layer removes the
 /// mutex + hash lookup from the per-element path for pairs the current
 /// document has already used. [`TypeId`]s are small dense indices, so the
 /// memo is a `#source_types × #target_types` matrix — one indexed load
-/// per element, no hashing at all. Re-dimensioned (and cleared) at the
+/// per element, no hashing at all — of indices into the list of pairs the
+/// document has used. Frames hold such an index, not the automaton, so no
+/// reference count moves per element. Re-dimensioned (and cleared) at the
 /// start of every document so a scratch can safely move between contexts
 /// (type ids are per-schema).
 #[derive(Debug, Default)]
 struct PairMemo {
-    slots: Vec<Option<Arc<ProductIda>>>,
+    /// `index + 1` into `idas` per type pair (`0` = not used yet).
+    slots: Vec<u32>,
     tgt_width: usize,
+    idas: Vec<Arc<ProductIda>>,
 }
 
 impl PairMemo {
     /// Clears the memo and re-dimensions it for a schema pair.
     fn begin(&mut self, src_types: usize, tgt_types: usize) {
         self.slots.clear();
-        self.slots.resize(src_types * tgt_types, None);
+        self.slots.resize(src_types * tgt_types, 0);
         self.tgt_width = tgt_types;
+        self.idas.clear();
     }
 
-    /// The memoized product IDA for `(s, t)`, building it on first use.
+    /// The memo index of the product IDA for `(s, t)`, building it on
+    /// first use.
     #[inline]
-    fn get_or_insert(
-        &mut self,
-        s: TypeId,
-        t: TypeId,
-        build: impl FnOnce() -> Arc<ProductIda>,
-    ) -> &Arc<ProductIda> {
-        self.slots[s.index() * self.tgt_width + t.index()].get_or_insert_with(build)
+    fn index(&mut self, s: TypeId, t: TypeId, build: impl FnOnce() -> Arc<ProductIda>) -> u32 {
+        let slot = &mut self.slots[s.index() * self.tgt_width + t.index()];
+        if *slot == 0 {
+            self.idas.push(build());
+            *slot = self.idas.len() as u32;
+        }
+        *slot - 1
+    }
+
+    /// The hot table of the IDA at memo index `pair`.
+    #[inline]
+    fn hot(&self, pair: u32) -> &HotDfa {
+        self.idas[pair as usize].ida().hot()
     }
 }
 
@@ -121,7 +144,8 @@ enum Frame<'a, 't> {
 enum Content<'a> {
     /// Product IDA over (source, target) content models (§4 integration).
     Ida {
-        ida: Arc<ProductIda>,
+        /// The IDA's [`PairMemo`] index.
+        pair: u32,
         q: StateId,
         /// Early decision, if the IDA reached IA (`Some(true)`).
         /// Immediate rejects abort the whole scan instead.
@@ -130,16 +154,6 @@ enum Content<'a> {
     /// Plain target-DFA scan (no source content model, or IDA disabled),
     /// stepped through the cached branchless hot table.
     Dfa { hot: &'a HotDfa, q: StateId },
-}
-
-/// What a `Start` event did to the frame stack.
-enum StartAction {
-    /// A frame was pushed (or the content model absorbed it); keep going.
-    Entered,
-    /// The child's type pair is subsumed: skip its whole subtree.
-    Skip,
-    /// The document is invalid; stop.
-    Invalid,
 }
 
 impl<'a, 'b> StreamingCast<'a, 'b> {
@@ -191,16 +205,18 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         Ok((outcome, stats))
     }
 
-    /// Validates by driving a pull parser directly — the production fast
-    /// path.
+    /// Validates by driving a pull parser's step cursor directly — the
+    /// production fast path.
     ///
     /// Compared to [`validate_events`](StreamingCast::validate_events),
-    /// this path (a) resolves labels through the parser's lexer-level
-    /// interner plus a dense [`SymCache`] instead of hashing every start
-    /// tag, and (b) skips subsumed subtrees *lexically* via
-    /// [`PullParser::skip_subtree`], so the skipped bytes are never
-    /// tokenized at all. Outcomes and decision counters are identical to
-    /// the generic path (property-tested); only
+    /// this path (a) consumes [`Step`]s rather than events, so a
+    /// self-closing element is entered and closed in place and whitespace
+    /// runs are settled by the tape's flag, (b) resolves labels through the
+    /// parser's lexer-level interner plus a dense [`SymCache`] instead of
+    /// hashing every start tag, and (c) skips subsumed subtrees
+    /// *lexically* via [`PullParser::skip_subtree`], so the skipped bytes
+    /// are never tokenized at all. Outcomes and decision counters are
+    /// identical to the generic path (property-tested); only
     /// [`ValidationStats::bytes_skipped`] and
     /// [`ValidationStats::events_avoided`] differ (the generic path leaves
     /// them 0).
@@ -235,36 +251,42 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
         let mut stack: Vec<Frame<'a, 't>> = Vec::new();
         let mut seen_root = false;
 
-        while let Some(event) = parser.next() {
-            match event? {
-                PullEvent::Doctype { .. } => {}
-                PullEvent::Start { name, id, .. } => {
+        while let Some(step) = parser.step()? {
+            let valid = match step {
+                Step::Open {
+                    name, id, empty, ..
+                } => {
                     let sym = syms.resolve(alphabet, id.index(), name);
                     match self.on_start(sym, &mut stack, &mut seen_root, pairs, &mut stats) {
-                        StartAction::Entered => {}
-                        StartAction::Skip => {
+                        // `<a/>` closes where it opens.
+                        Entered::Frame(frame) if empty => self.on_end(frame, pairs, &mut stats),
+                        Entered::Frame(frame) => {
+                            stack.push(frame);
+                            true
+                        }
+                        // `<a/>` has nothing to skip.
+                        Entered::Skip if empty => true,
+                        Entered::Skip => {
                             let skipped = parser.skip_subtree()?;
                             stats.bytes_skipped += skipped.bytes;
                             stats.events_avoided += skipped.events;
                             stats.tape_skip_hops += skipped.hops;
+                            true
                         }
-                        StartAction::Invalid => return Ok((CastOutcome::Invalid, stats)),
+                        Entered::Reject => false,
                     }
                 }
-                PullEvent::Text(t) => {
-                    // The tape classified whitespace-only spans at build
-                    // time; the flag settles them without re-scanning.
-                    let known_ws = parser.last_text_all_ws();
-                    if !on_text(&mut stack, t, known_ws) {
-                        return Ok((CastOutcome::Invalid, stats));
-                    }
+                // The tape classified whitespace-only spans at build time;
+                // the flag settles them without re-scanning.
+                Step::Text { text, all_ws } => on_text(&mut stack, text, all_ws),
+                Step::Close { .. } => {
+                    let frame = stack.pop().expect("balanced steps");
+                    self.on_end(frame, pairs, &mut stats)
                 }
-                PullEvent::End { .. } => {
-                    let frame = stack.pop().expect("balanced events");
-                    if !self.on_end(frame, &mut stats) {
-                        return Ok((CastOutcome::Invalid, stats));
-                    }
-                }
+                Step::Doctype { .. } => true,
+            };
+            if !valid {
+                return Ok((CastOutcome::Invalid, stats));
             }
         }
         if !seen_root || !stack.is_empty() {
@@ -309,9 +331,9 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                     }
                     let sym = alphabet.lookup(name);
                     match self.on_start(sym, &mut stack, &mut seen_root, &mut pairs, &mut stats) {
-                        StartAction::Entered => {}
-                        StartAction::Skip => skip_depth = 1,
-                        StartAction::Invalid => return Ok((CastOutcome::Invalid, stats)),
+                        Entered::Frame(frame) => stack.push(frame),
+                        Entered::Skip => skip_depth = 1,
+                        Entered::Reject => return Ok((CastOutcome::Invalid, stats)),
                     }
                 }
                 PullEvent::Text(t) => {
@@ -328,7 +350,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                         continue;
                     }
                     let frame = stack.pop().expect("balanced events");
-                    if !self.on_end(frame, &mut stats) {
+                    if !self.on_end(frame, &pairs, &mut stats) {
                         return Ok((CastOutcome::Invalid, stats));
                     }
                 }
@@ -341,105 +363,88 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
     }
 
     /// Handles a start tag: types the element, steps the enclosing content
-    /// model, and decides whether to descend, skip, or reject.
+    /// model (the top of `stack`), and decides whether to descend (the
+    /// caller pushes the returned frame), skip, or reject.
     ///
     /// This is the per-element hot loop. Content models are stepped through
     /// [`HotDfa`] tables — one multiply, one clamped (branchless) load, one
     /// flag-byte test — and child types resolve through the dense
     /// [`ComplexType::child_index`] instead of a hash map.
+    #[inline]
     fn on_start<'t>(
         &self,
         sym: Option<Sym>,
-        stack: &mut Vec<Frame<'a, 't>>,
+        stack: &mut [Frame<'a, 't>],
         seen_root: &mut bool,
         pairs: &mut PairMemo,
         stats: &mut ValidationStats,
-    ) -> StartAction {
+    ) -> Entered<'a, 't> {
         let Some(sym) = sym else {
             // A label neither schema has ever seen cannot be admitted by
             // the target.
-            return StartAction::Invalid;
+            return Entered::Reject;
         };
-        if stack.is_empty() {
+        let Some(top) = stack.last_mut() else {
             if *seen_root {
-                return StartAction::Invalid;
+                return Entered::Reject;
             }
             *seen_root = true;
             let Some(tgt) = self.ctx.target().root_type(sym) else {
-                return StartAction::Invalid;
+                return Entered::Reject;
             };
             let src = self.ctx.source().root_type(sym);
-            match self.enter(src, tgt, pairs, stats) {
-                Entered::Frame(f) => {
-                    stack.push(f);
-                    StartAction::Entered
+            return self.enter(src, tgt, pairs, stats);
+        };
+        let Frame::Complex {
+            src_cx,
+            tgt_cx,
+            content,
+        } = top
+        else {
+            // Element content inside a simple type.
+            return Entered::Reject;
+        };
+        // Step the content model.
+        match content {
+            Content::Ida {
+                pair,
+                q,
+                accepted_early,
+            } => {
+                if !*accepted_early {
+                    stats.content_symbols_scanned += 1;
+                    let hot = pairs.hot(*pair);
+                    *q = hot.step(*q, sym.index());
+                    let flags = hot.flags(*q);
+                    if flags & state_flags::IR != 0 {
+                        stats.ida_early_rejects += 1;
+                        return Entered::Reject;
+                    }
+                    if flags & state_flags::IA != 0 {
+                        stats.ida_early_accepts += 1;
+                        *accepted_early = true;
+                    }
                 }
-                Entered::Skip => StartAction::Skip,
-                Entered::Reject => StartAction::Invalid,
             }
-        } else {
-            let top = stack.last_mut().expect("non-empty");
-            match top {
-                Frame::Simple { .. } => {
-                    // Element content inside a simple type.
-                    StartAction::Invalid
-                }
-                Frame::Complex {
-                    src_cx,
-                    tgt_cx,
-                    content,
-                } => {
-                    // Step the content model.
-                    match content {
-                        Content::Ida {
-                            ida,
-                            q,
-                            accepted_early,
-                        } => {
-                            if !*accepted_early {
-                                stats.content_symbols_scanned += 1;
-                                let hot = ida.ida().hot();
-                                *q = hot.step(*q, sym.index());
-                                let flags = hot.flags(*q);
-                                if flags & state_flags::IR != 0 {
-                                    stats.ida_early_rejects += 1;
-                                    return StartAction::Invalid;
-                                }
-                                if flags & state_flags::IA != 0 {
-                                    stats.ida_early_accepts += 1;
-                                    *accepted_early = true;
-                                }
-                            }
-                        }
-                        Content::Dfa { hot, q } => {
-                            stats.content_symbols_scanned += 1;
-                            *q = hot.step(*q, sym.index());
-                            if *q == hot.sink() {
-                                return StartAction::Invalid;
-                            }
-                        }
-                    }
-                    // Type the child (dense index: no hashing).
-                    let Some(child_tgt) = tgt_cx.child_type_dense(sym) else {
-                        return StartAction::Invalid;
-                    };
-                    let child_src = src_cx.and_then(|c| c.child_type_dense(sym));
-                    match self.enter(child_src, child_tgt, pairs, stats) {
-                        Entered::Frame(f) => {
-                            stack.push(f);
-                            StartAction::Entered
-                        }
-                        Entered::Skip => StartAction::Skip,
-                        Entered::Reject => StartAction::Invalid,
-                    }
+            Content::Dfa { hot, q } => {
+                stats.content_symbols_scanned += 1;
+                *q = hot.step(*q, sym.index());
+                if *q == hot.sink() {
+                    return Entered::Reject;
                 }
             }
         }
+        // Type the child (dense index: no hashing).
+        let Some(child_tgt) = tgt_cx.child_type_dense(sym) else {
+            return Entered::Reject;
+        };
+        let child_src = src_cx.and_then(|c| c.child_type_dense(sym));
+        self.enter(child_src, child_tgt, pairs, stats)
     }
 
     /// Closes a frame: final simple-value / content-model acceptance check.
     /// Returns whether the element was valid.
-    fn on_end(&self, frame: Frame<'a, '_>, stats: &mut ValidationStats) -> bool {
+    fn on_end(&self, frame: Frame<'a, '_>, pairs: &PairMemo, stats: &mut ValidationStats) -> bool {
         match frame {
             Frame::Simple { simple, text } => {
                 stats.value_checks += 1;
@@ -455,16 +460,17 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
             }
             Frame::Complex { content, .. } => match content {
                 Content::Ida {
-                    ida,
+                    pair,
                     q,
                     accepted_early,
-                } => accepted_early || ida.ida().hot().is_final(q),
+                } => accepted_early || pairs.hot(pair).is_final(q),
                 Content::Dfa { hot, q } => hot.is_final(q),
             },
         }
     }
 
     /// Decides how to process an element with type pair `(src?, tgt)`.
+    #[inline]
     fn enter<'t>(
         &self,
         src: Option<TypeId>,
@@ -492,10 +498,8 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                 let src_cx = src.and_then(|s| self.ctx.source().type_def(s).as_complex());
                 let content = match (opts.use_ida, src, src_cx) {
                     (true, Some(s), Some(_)) => {
-                        let ida = pairs
-                            .get_or_insert(s, tgt, || self.ctx.product_ida(s, tgt))
-                            .clone();
-                        let hot = ida.ida().hot();
+                        let pair = pairs.index(s, tgt, || self.ctx.product_ida(s, tgt));
+                        let hot = pairs.hot(pair);
                         let q = hot.start();
                         // The start state may already be decisive.
                         let flags = hot.flags(q);
@@ -508,7 +512,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
                             stats.ida_early_accepts += 1;
                         }
                         Content::Ida {
-                            ida,
+                            pair,
                             q,
                             accepted_early,
                         }
@@ -536,6 +540,7 @@ impl<'a, 'b> StreamingCast<'a, 'b> {
 /// run is all ASCII whitespace (so mixed-content admissibility needs no
 /// re-scan), `false` means unknown and the full check runs — which also
 /// covers Unicode whitespace the tape never classifies.
+#[inline]
 fn on_text<'t>(stack: &mut [Frame<'_, 't>], t: Cow<'t, str>, known_ws: bool) -> bool {
     match stack.last_mut() {
         Some(Frame::Simple { text, .. }) => {
@@ -561,6 +566,8 @@ fn all_xml_whitespace(s: &str) -> bool {
         || (!s.is_ascii() && s.chars().all(char::is_whitespace))
 }
 
+/// What a start tag does: descend with a new frame, skip the subtree
+/// (its type pair is subsumed), or reject the document.
 enum Entered<'a, 't> {
     Frame(Frame<'a, 't>),
     Skip,

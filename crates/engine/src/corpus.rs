@@ -486,9 +486,11 @@ impl<'c, 's> BatchEngine<'c, 's> {
             "injected corpus fault"
         );
 
-        let hash = content_hash(bytes);
+        // The content hash only keys the verdict cache: without one there
+        // is nothing to look up or insert, so the bytes are not hashed.
+        let hash = cache.map(|_| content_hash(bytes));
         let len = bytes.len() as u64;
-        if let Some(entry) = cache.and_then(|c| c.get(hash)) {
+        if let Some(entry) = cache.zip(hash).and_then(|(c, h)| c.get(h)) {
             let (outcome, stats) = entry.replay();
             return (
                 (
@@ -514,7 +516,7 @@ impl<'c, 's> BatchEngine<'c, 's> {
             },
             Ok(text) => self.validate_one_xml(text, alphabet, scratch),
         };
-        let insert = CacheEntry::from_outcome(&report.outcome, report.stats).map(|e| (hash, e));
+        let insert = hash.zip(CacheEntry::from_outcome(&report.outcome, report.stats));
         (
             (
                 idx,

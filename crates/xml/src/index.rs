@@ -171,6 +171,15 @@ impl StructuralIndex {
         self.entries.is_empty()
     }
 
+    /// Number of start tags on the tape (self-closing ones included): the
+    /// document's element count, when it is well-formed.
+    pub fn element_count(&self) -> usize {
+        self.entries
+            .iter()
+            .filter(|e| e.kind == EntryKind::Open)
+            .count()
+    }
+
     /// The terminal scan error, if the document contains an unterminated
     /// construct. Entries before the error point are still present.
     pub fn error(&self) -> Option<TapeError> {

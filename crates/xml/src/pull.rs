@@ -7,15 +7,24 @@
 //! with the size of the document, but depends solely on the sizes of the
 //! schemas".
 //!
-//! Four properties make this the hot-path tokenizer:
+//! Five properties make this the hot-path tokenizer:
 //!
 //! * **Tape-fed dispatch.** Construction runs the SWAR structural indexer
-//!   ([`crate::index::StructuralIndex`]) over the input once; `next()` is
-//!   then a walk over precomputed [`TapeEntry`]
+//!   ([`crate::index::StructuralIndex`]) over the input once;
+//!   [`PullParser::step`] is then a walk over precomputed [`TapeEntry`]
 //!   records — no per-byte `position()` scans, no `starts_with` dispatch
 //!   chains, and comments/PIs are never visited at all. Only the *interiors*
 //!   of tags and entity-bearing text are lexed, inside spans whose
 //!   boundaries the tape already knows.
+//! * **One step cursor, two views.** [`PullParser::step`] is the only
+//!   tokenizer. It returns a [`Step`]: a self-closing element is one step,
+//!   and a text run carries the tape's whitespace flag. The [`PullEvent`]
+//!   iterator is an adapter over it that splits `<a/>` into `Start` and
+//!   `End`; the streaming validator drives `step` directly. A start tag
+//!   whose bytes between `<` and `>` (or `/>`) are exactly a name is
+//!   interned with no attribute loop; every other tag, every entity and
+//!   every error takes the validating lexer, so both views report the same
+//!   errors at the same offsets.
 //! * **Borrowed events.** Element and attribute names are `&str` slices of
 //!   the input; text runs and attribute values are [`Cow`]s that stay
 //!   borrowed unless entity resolution forces an owned buffer. On the
@@ -95,6 +104,53 @@ pub enum PullEvent<'a> {
     /// Character data. Borrowed unless entity resolution forced an owned
     /// buffer; adjacent runs may be split at CDATA boundaries.
     Text(Cow<'a, str>),
+}
+
+/// One token off the structural tape, as [`PullParser::step`] returns it.
+///
+/// The step cursor is the parser's only tokenizer; the [`PullEvent`]
+/// iterator is a thin adapter over it. A step differs from an event in two
+/// ways that matter to a validator on the hot path: a self-closing element
+/// is a single [`Step::Open`] with `empty: true` (no `End` follows), and a
+/// text run carries the tape's build-time whitespace classification.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step<'a> {
+    /// The `<!DOCTYPE name [internal]>` declaration.
+    Doctype {
+        /// The document-type name.
+        name: &'a str,
+        /// The raw internal subset, if any.
+        internal: Option<&'a str>,
+    },
+    /// A start tag.
+    Open {
+        /// Tag name — a slice of the input.
+        name: &'a str,
+        /// The name's dense per-document id.
+        id: NameId,
+        /// Lazy view of the (validated) attributes.
+        attributes: Attrs<'a>,
+        /// `<name …/>`: the element is already closed, no
+        /// [`Step::Close`] follows and there is nothing to skip.
+        empty: bool,
+    },
+    /// An end tag, already checked against its start tag.
+    Close {
+        /// Tag name — a slice of the input.
+        name: &'a str,
+        /// The id the matching [`Step::Open`] carried.
+        id: NameId,
+    },
+    /// Character data, as for [`PullEvent::Text`].
+    Text {
+        /// The run, borrowed unless entity resolution forced a buffer.
+        text: Cow<'a, str>,
+        /// The tape classified the run as all XML whitespace (space, tab,
+        /// CR, LF) when it was built. A sound hint, not a complete one:
+        /// `false` means unknown — CDATA sections and entity-bearing runs
+        /// always report `false`.
+        all_ws: bool,
+    },
 }
 
 /// A lazy, allocation-free view of a start tag's attributes.
@@ -400,14 +456,14 @@ pub struct PullParser<'a> {
     stack: Vec<OpenElem>,
     names: NameTable<'a>,
     state: State,
-    /// Queued event (self-closing tags emit two events).
+    /// The iterator adapter's queued `End` (a self-closing tag is one
+    /// step but two events).
     queued: Option<PullEvent<'a>>,
     /// Whether the document element has already been seen.
     seen_root: bool,
-    /// Whether the most recent [`PullEvent::Text`] came from a tape span
-    /// classified [`flags::ALL_WS`] at build time (see
-    /// [`last_text_all_ws`](Self::last_text_all_ws)).
-    last_text_all_ws: bool,
+    /// Whether the last token was a self-closing start tag, which
+    /// [`skip_subtree`](Self::skip_subtree) then skips as a no-op.
+    opened_empty: bool,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -443,7 +499,7 @@ impl<'a> PullParser<'a> {
             state: State::Active,
             queued: None,
             seen_root: false,
-            last_text_all_ws: false,
+            opened_empty: false,
         }
     }
 
@@ -471,19 +527,6 @@ impl<'a> PullParser<'a> {
     /// run) began.
     pub fn last_event_offset(&self) -> usize {
         self.event_start
-    }
-
-    /// Whether the most recently returned [`PullEvent::Text`] is *known*
-    /// to be all XML whitespace, straight off the structural tape's
-    /// build-time classification — no re-scan.
-    ///
-    /// This is a sound hint, not a complete one: `true` means every byte
-    /// of the span is space/tab/CR/LF; `false` means unknown (CDATA
-    /// sections and entity-bearing spans always report `false`, and the
-    /// caller must re-check if it cares about Unicode whitespace).
-    #[inline]
-    pub fn last_text_all_ws(&self) -> bool {
-        self.last_text_all_ws
     }
 
     /// Number of distinct element names interned so far.
@@ -576,21 +619,38 @@ impl<'a> PullParser<'a> {
         Ok(value)
     }
 
-    /// Emits the event for an `Open` tape entry: lex the name and
-    /// attributes between the recorded `<` and `>`.
-    fn open_event(&mut self, entry: TapeEntry) -> Result<PullEvent<'a>, XmlError> {
+    /// Lexes an `Open` tape entry: the name and attributes between the
+    /// recorded `<` and `>`.
+    fn open_step(&mut self, entry: TapeEntry) -> Result<Step<'a>, XmlError> {
         let lt = entry.a as usize;
-        self.pos = lt;
         if self.stack.is_empty() {
             if self.seen_root {
+                self.pos = lt;
                 return Err(self.err("content after document element"));
             }
             self.seen_root = true;
         }
         self.event_start = lt;
+        let empty = entry.flags & flags::SELF_CLOSING != 0;
+        // Fast path: the tape recorded the `>` (and whether `/` precedes
+        // it), so when the bytes in between are exactly a name there are
+        // no attributes to lex — intern and go. A name already in the
+        // table was checked when it was first interned, so only a new one
+        // is checked byte by byte. Anything else (attributes, whitespace,
+        // malformed markup) takes the validating lexer below.
+        if entry.flags & flags::UNCLOSED == 0 {
+            let end = entry.b as usize - usize::from(empty);
+            let tag = &self.bytes[lt + 1..end];
+            let known = self.names.find(tag);
+            if known.is_some() || is_name(tag) {
+                let name = &self.text[lt + 1..end];
+                let id = known.unwrap_or_else(|| self.names.intern(name));
+                self.pos = entry.b as usize + 1;
+                return Ok(self.opened(entry, name, id, Attrs::from_span(self.text, end, 0)));
+            }
+        }
         self.pos = lt + 1;
         let name = self.name()?;
-        let id = self.names.intern(name);
         // Validate-and-count pass: each attribute is fully checked (syntax,
         // quoting, entities, duplicates) but nothing is materialized — the
         // returned `Attrs` view re-lexes the already-validated span on
@@ -604,28 +664,12 @@ impl<'a> PullParser<'a> {
                     if !self.starts_with("/>") {
                         return Err(self.err("malformed empty-element tag"));
                     }
-                    let attributes = Attrs::from_span(self.text, attr_start, count);
                     self.pos += 2;
-                    self.queued = Some(PullEvent::End { name, id });
-                    return Ok(PullEvent::Start {
-                        name,
-                        id,
-                        attributes,
-                    });
+                    break;
                 }
                 Some(b'>') => {
-                    let attributes = Attrs::from_span(self.text, attr_start, count);
                     self.pos += 1;
-                    self.stack.push(OpenElem {
-                        id,
-                        resume: entry.c,
-                        events: entry.d,
-                    });
-                    return Ok(PullEvent::Start {
-                        name,
-                        id,
-                        attributes,
-                    });
+                    break;
                 }
                 Some(b) if is_name_start(b) => {
                     let attr = self.name()?;
@@ -644,36 +688,69 @@ impl<'a> PullParser<'a> {
                 _ => return Err(self.err("malformed start tag")),
             }
         }
+        let id = self.names.intern(name);
+        Ok(self.opened(
+            entry,
+            name,
+            id,
+            Attrs::from_span(self.text, attr_start, count),
+        ))
     }
 
-    /// Emits the event for a `Close` tape entry. The close name is compared
-    /// byte-for-byte against the open element's interned name — no second
-    /// intern, and matching names imply matching ids.
-    fn close_event(&mut self, entry: TapeEntry) -> Result<PullEvent<'a>, XmlError> {
+    /// Opens a lexed and interned start tag, unless it is self-closing.
+    #[inline]
+    fn opened(
+        &mut self,
+        entry: TapeEntry,
+        name: &'a str,
+        id: NameId,
+        attributes: Attrs<'a>,
+    ) -> Step<'a> {
+        let empty = entry.flags & flags::SELF_CLOSING != 0;
+        if !empty {
+            self.stack.push(OpenElem {
+                id,
+                resume: entry.c,
+                events: entry.d,
+            });
+        }
+        self.opened_empty = empty;
+        Step::Open {
+            name,
+            id,
+            attributes,
+            empty,
+        }
+    }
+
+    /// Lexes a `Close` tape entry. The close name is compared byte-for-byte
+    /// against the open element's interned name — no second intern, and
+    /// matching names imply matching ids.
+    fn close_step(&mut self, entry: TapeEntry) -> Result<Step<'a>, XmlError> {
         let lt = entry.a as usize;
         self.pos = lt;
-        if self.stack.is_empty() {
+        let Some(&open) = self.stack.last() else {
             return Err(self.err("expected an element name, found an end tag"));
-        }
+        };
         self.event_start = lt;
+        let open_name = self.names.get(open.id);
         // Fast path: the tape already recorded this tag's `>`, and on
         // well-formed input the bytes between `</` and `>` are exactly the
-        // open element's name — one slice compare replaces the per-byte
-        // name scan. Any mismatch (trailing whitespace, wrong name,
-        // malformed tag) falls through to the scalar-identical slow path
-        // so errors keep exact parity.
-        if entry.flags & flags::UNCLOSED == 0 {
-            let open = *self.stack.last().expect("checked non-empty");
-            let open_name = self.names.get(open.id);
-            let gt = entry.b as usize;
-            if self.bytes.get(lt + 2..gt) == Some(open_name.as_bytes()) {
-                self.stack.pop();
-                self.pos = gt + 1;
-                return Ok(PullEvent::End {
-                    name: open_name,
-                    id: open.id,
-                });
-            }
+        // open element's name — one key compare replaces the per-byte name
+        // scan. Any mismatch (trailing whitespace, wrong name, malformed
+        // tag) falls through to the scalar-identical slow path so errors
+        // keep exact parity.
+        if entry.flags & flags::UNCLOSED == 0
+            && self
+                .names
+                .is(open.id, &self.bytes[lt + 2..entry.b as usize])
+        {
+            self.stack.pop();
+            self.pos = entry.b as usize + 1;
+            return Ok(Step::Close {
+                name: open_name,
+                id: open.id,
+            });
         }
         self.pos = lt + 2;
         let close_name = self.name()?;
@@ -682,22 +759,21 @@ impl<'a> PullParser<'a> {
             return Err(self.err("malformed end tag"));
         }
         self.pos += 1;
-        let open = self.stack.pop().expect("checked non-empty");
-        let open_name = self.names.get(open.id);
+        self.stack.pop();
         if open_name != close_name {
             return Err(self.err(&format!(
                 "mismatched end tag: expected </{open_name}>, found </{close_name}>"
             )));
         }
-        Ok(PullEvent::End {
+        Ok(Step::Close {
             name: close_name,
             id: open.id,
         })
     }
 
-    /// Emits the event for a `Doctype` tape entry, re-lexing the details
-    /// from the recorded span.
-    fn doctype_event(&mut self, entry: TapeEntry) -> Result<PullEvent<'a>, XmlError> {
+    /// Lexes a `Doctype` tape entry, re-lexing the details from the
+    /// recorded span.
+    fn doctype_step(&mut self, entry: TapeEntry) -> Result<Step<'a>, XmlError> {
         let lt = entry.a as usize;
         self.event_start = lt;
         self.pos = lt + "<!DOCTYPE".len();
@@ -723,12 +799,12 @@ impl<'a> PullParser<'a> {
                 None => return Err(self.err("unterminated DOCTYPE")),
             }
         }
-        Ok(PullEvent::Doctype { name, internal })
+        Ok(Step::Doctype { name, internal })
     }
 
     /// The tape ran out: replay the builder's terminal scan error if there
     /// is one, otherwise check document-level completeness.
-    fn end_of_tape(&mut self) -> Result<Option<PullEvent<'a>>, XmlError> {
+    fn end_of_tape(&mut self) -> Result<Option<Step<'a>>, XmlError> {
         if let Some(e) = self.tape().error() {
             // One precedence nit the scalar lexer resolves the other way:
             // outside the root it reports stray CDATA before noticing the
@@ -749,25 +825,44 @@ impl<'a> PullParser<'a> {
         Ok(None)
     }
 
-    fn advance(&mut self) -> Result<Option<PullEvent<'a>>, XmlError> {
-        if let Some(e) = self.queued.take() {
-            return Ok(Some(e));
-        }
+    /// Advances the step cursor by one token — the parser's one tokenizer,
+    /// which the [`PullEvent`] iterator adapts.
+    ///
+    /// Well-formedness is checked exactly as for events (same errors, same
+    /// offsets); the differences are in shape only (see [`Step`]). Returns
+    /// `Ok(None)` at the end of the document; after an error, every later
+    /// call returns `Ok(None)`.
+    ///
+    /// # Errors
+    /// Returns the first well-formedness error.
+    pub fn step(&mut self) -> Result<Option<Step<'a>>, XmlError> {
         if self.state != State::Active {
             return Ok(None);
         }
+        self.opened_empty = false;
+        let step = self.lex_step();
+        if step.is_err() {
+            self.state = State::Failed;
+        }
+        step
+    }
+
+    fn lex_step(&mut self) -> Result<Option<Step<'a>>, XmlError> {
         loop {
             let Some(&entry) = self.tape().entries().get(self.cursor) else {
                 return self.end_of_tape();
             };
             self.cursor += 1;
-            match entry.kind {
+            let step = match entry.kind {
+                EntryKind::Open => self.open_step(entry)?,
+                EntryKind::Close => self.close_step(entry)?,
                 EntryKind::Text => {
                     let (start, end) = (entry.a as usize, entry.b as usize);
+                    let all_ws = entry.flags & flags::ALL_WS != 0;
                     if self.stack.is_empty() {
                         // Only whitespace is allowed outside the root. The
                         // tape flag settles clean spans with no re-scan.
-                        if entry.flags & flags::ALL_WS == 0 {
+                        if !all_ws {
                             if let Some(i) = self.bytes[start..end]
                                 .iter()
                                 .position(|&b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
@@ -788,11 +883,8 @@ impl<'a> PullParser<'a> {
                         Cow::Borrowed(&self.text[start..end])
                     };
                     self.pos = end;
-                    self.last_text_all_ws = entry.flags & flags::ALL_WS != 0;
-                    return Ok(Some(PullEvent::Text(text)));
+                    Step::Text { text, all_ws }
                 }
-                EntryKind::Open => return self.open_event(entry).map(Some),
-                EntryKind::Close => return self.close_event(entry).map(Some),
                 EntryKind::Cdata => {
                     let lt = entry.a as usize;
                     if self.stack.is_empty() {
@@ -800,14 +892,16 @@ impl<'a> PullParser<'a> {
                         return Err(self.err("character data outside the root element"));
                     }
                     self.event_start = lt;
-                    let content = &self.text[lt + 9..entry.b as usize];
                     self.pos = entry.b as usize + 3;
                     // CDATA content is never classified on the tape.
-                    self.last_text_all_ws = false;
-                    return Ok(Some(PullEvent::Text(Cow::Borrowed(content))));
+                    Step::Text {
+                        text: Cow::Borrowed(&self.text[lt + 9..entry.b as usize]),
+                        all_ws: false,
+                    }
                 }
-                EntryKind::Doctype => return self.doctype_event(entry).map(Some),
-            }
+                EntryKind::Doctype => self.doctype_step(entry)?,
+            };
+            return Ok(Some(step));
         }
     }
 
@@ -816,10 +910,11 @@ impl<'a> PullParser<'a> {
     /// single hop to the recorded resume point — no byte in between is
     /// rescanned (reported as [`SubtreeSkip::hops`]).
     ///
-    /// Must be called *just after* the element's [`PullEvent::Start`] was
-    /// returned. The element's own end tag is consumed; the next event is
-    /// whatever follows it. Returns how many bytes and tag events were
-    /// skipped without lexing.
+    /// Must be called *just after* the element's [`PullEvent::Start`] (or
+    /// [`Step::Open`]) was returned. The element's own end tag is consumed;
+    /// the next token is whatever follows it. A self-closing element has
+    /// nothing to skip: the call is a no-op that reports zero. Returns how
+    /// many bytes and tag events were skipped without lexing.
     ///
     /// It intentionally does **not** check that end-tag names match
     /// start-tag names inside the skipped region — skipped subtrees trade
@@ -833,10 +928,10 @@ impl<'a> PullParser<'a> {
     /// scan found an unterminated comment/CDATA/PI, or if no element is
     /// open.
     pub fn skip_subtree(&mut self) -> Result<SubtreeSkip, XmlError> {
-        if let Some(queued) = self.queued.take() {
-            // A self-closing element: its End event is already lexed and
-            // queued; consuming it is the whole skip.
-            debug_assert!(matches!(queued, PullEvent::End { .. }));
+        if std::mem::take(&mut self.opened_empty) {
+            // A self-closing element is already closed; for the event
+            // adapter, its queued End is the whole skip.
+            self.queued = None;
             return Ok(SubtreeSkip::default());
         }
         if self.stack.is_empty() || self.state != State::Active {
@@ -865,18 +960,40 @@ impl<'a> PullParser<'a> {
     }
 }
 
+/// The event view of the step cursor: one step per event, except that a
+/// self-closing tag's single step becomes `Start` then `End`.
 impl<'a> Iterator for PullParser<'a> {
     type Item = Result<PullEvent<'a>, XmlError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.advance() {
-            Ok(Some(e)) => Some(Ok(e)),
-            Ok(None) => None,
-            Err(e) => {
-                self.state = State::Failed;
-                Some(Err(e))
-            }
+        if let Some(end) = self.queued.take() {
+            self.opened_empty = false;
+            return Some(Ok(end));
         }
+        let event = match self.step() {
+            Ok(step) => step?,
+            Err(e) => return Some(Err(e)),
+        };
+        Some(Ok(match event {
+            Step::Open {
+                name,
+                id,
+                attributes,
+                empty,
+            } => {
+                if empty {
+                    self.queued = Some(PullEvent::End { name, id });
+                }
+                PullEvent::Start {
+                    name,
+                    id,
+                    attributes,
+                }
+            }
+            Step::Close { name, id } => PullEvent::End { name, id },
+            Step::Text { text, .. } => PullEvent::Text(text),
+            Step::Doctype { name, internal } => PullEvent::Doctype { name, internal },
+        }))
     }
 }
 
@@ -898,6 +1015,12 @@ pub(crate) fn err_at(bytes: &[u8], offset: usize, message: &str) -> XmlError {
         column: col,
         message: message.to_owned(),
     }
+}
+
+/// Whether `b` is exactly one name.
+fn is_name(b: &[u8]) -> bool {
+    b.split_first()
+        .is_some_and(|(&first, rest)| is_name_start(first) && rest.iter().all(|&c| is_name_char(c)))
 }
 
 #[inline]
@@ -924,14 +1047,17 @@ pub(crate) fn is_name_char(b: u8) -> bool {
     NAME_CHAR[b as usize]
 }
 
-/// The lexer-level name interner: borrowed keys, dense ids, word-at-a-time
-/// hashing with open addressing. One (cheap) hash per name occurrence, one id
-/// thereafter — consumers resolve each *distinct* name against heavier
+/// The lexer-level name interner: borrowed keys, dense ids, open
+/// addressing over a two-word key. One (cheap) hash per name occurrence, one
+/// id thereafter — consumers resolve each *distinct* name against heavier
 /// structures (e.g. the schema [`Alphabet`](../../schemacast_regex/struct.Alphabet.html))
 /// exactly once.
 #[derive(Clone, Default)]
 pub(crate) struct NameTable<'a> {
     names: Vec<&'a str>,
+    /// [`name_key`] of each name, so a probe or a close-tag check compares
+    /// two words instead of calling into `memcmp`.
+    keys: Vec<(u64, u64)>,
     /// Open-addressing buckets holding `index + 1` (`0` = empty).
     buckets: Vec<u32>,
 }
@@ -945,26 +1071,67 @@ impl<'a> NameTable<'a> {
         self.names[id.index()]
     }
 
+    /// Whether `bytes` spell the name interned as `id`.
+    #[inline]
+    pub(crate) fn is(&self, id: NameId, bytes: &[u8]) -> bool {
+        self.names[id.index()].len() == bytes.len()
+            && self.keys[id.index()] == name_key(bytes)
+            && self.spells(id, bytes)
+    }
+
+    /// The id of the interned name spelled by `bytes`, if any.
+    #[inline]
+    pub(crate) fn find(&self, bytes: &[u8]) -> Option<NameId> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let key = name_key(bytes);
+        let mask = self.buckets.len() - 1;
+        let mut slot = hash_name(bytes, key) as usize & mask;
+        loop {
+            match self.buckets[slot] {
+                0 => return None,
+                occupied => {
+                    let id = NameId(occupied - 1);
+                    if self.keys[id.index()] == key && self.spells(id, bytes) {
+                        return Some(id);
+                    }
+                    slot = (slot + 1) & mask;
+                }
+            }
+        }
+    }
+
+    /// Whether the name interned as `id`, whose key is known to match,
+    /// is `bytes`.
+    #[inline]
+    fn spells(&self, id: NameId, bytes: &[u8]) -> bool {
+        let name = self.names[id.index()];
+        name.len() == bytes.len() && (bytes.len() <= 16 || name.as_bytes() == bytes)
+    }
+
     pub(crate) fn intern(&mut self, name: &'a str) -> NameId {
         if self.buckets.is_empty() {
             self.buckets = vec![0; 16];
         } else if (self.names.len() + 1) * 4 > self.buckets.len() * 3 {
             self.grow();
         }
+        let key = name_key(name.as_bytes());
         let mask = self.buckets.len() - 1;
-        let mut slot = hash_name(name.as_bytes()) as usize & mask;
+        let mut slot = hash_name(name.as_bytes(), key) as usize & mask;
         loop {
             match self.buckets[slot] {
                 0 => {
                     let id = NameId(self.names.len() as u32);
                     self.names.push(name);
+                    self.keys.push(key);
                     self.buckets[slot] = id.0 + 1;
                     return id;
                 }
                 occupied => {
-                    let idx = (occupied - 1) as usize;
-                    if self.names[idx] == name {
-                        return NameId(occupied - 1);
+                    let id = NameId(occupied - 1);
+                    if self.keys[id.index()] == key && self.spells(id, name.as_bytes()) {
+                        return id;
                     }
                     slot = (slot + 1) & mask;
                 }
@@ -976,8 +1143,8 @@ impl<'a> NameTable<'a> {
         let new_len = self.buckets.len() * 2;
         let mask = new_len - 1;
         let mut buckets = vec![0u32; new_len];
-        for (idx, name) in self.names.iter().enumerate() {
-            let mut slot = hash_name(name.as_bytes()) as usize & mask;
+        for (idx, (name, &key)) in self.names.iter().zip(&self.keys).enumerate() {
+            let mut slot = hash_name(name.as_bytes(), key) as usize & mask;
             while buckets[slot] != 0 {
                 slot = (slot + 1) & mask;
             }
@@ -987,28 +1154,49 @@ impl<'a> NameTable<'a> {
     }
 }
 
-/// Hashes a name word-at-a-time: one load + multiply-mix per 8 bytes
-/// instead of a serially dependent multiply per byte (names are hashed on
-/// every start-tag occurrence, so this sits on the tokenizer hot path).
-fn hash_name(bytes: &[u8]) -> u64 {
+/// Two words that, with the length, spell a name of up to 16 bytes
+/// exactly: its first and last 8 bytes (overlapping when shorter than 16),
+/// or first and last 4, or the bytes themselves. Two loads per name instead
+/// of a loop over its bytes; longer names also compare their bytes.
+#[inline]
+fn name_key(b: &[u8]) -> (u64, u64) {
+    let n = b.len();
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    let half = |at: usize| {
+        u64::from(u32::from_le_bytes(
+            b[at..at + 4].try_into().expect("4 bytes"),
+        ))
+    };
+    match n {
+        8.. => (word(0), word(n - 8)),
+        4..=7 => (half(0), half(n - 4)),
+        1..=3 => (
+            u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16,
+            0,
+        ),
+        0 => (0, 0),
+    }
+}
+
+/// The bucket hash of name `b` with [`name_key`] `key` (names are hashed on
+/// every start-tag occurrence, so this sits on the tokenizer hot path). A
+/// name longer than 16 bytes also mixes in the bytes its key leaves out, so
+/// a document cannot pile distinct names into one probe chain by varying
+/// only their middles.
+#[inline]
+fn hash_name(b: &[u8], (first, last): (u64, u64)) -> u64 {
     const MIX: u64 = 0xff51_afd7_ed55_8ccd;
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15 ^ bytes.len() as u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in chunks.by_ref() {
-        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        h = (h ^ w).wrapping_mul(MIX);
-        h ^= h >> 29;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = 0u64;
-        for (i, &b) in rem.iter().enumerate() {
-            w |= u64::from(b) << (8 * i);
+    let mix = |h: u64, w: u64| {
+        let h = (h ^ w).wrapping_mul(MIX);
+        h ^ (h >> 29)
+    };
+    let mut h = mix(0x9e37_79b9_7f4a_7c15 ^ b.len() as u64, first);
+    if b.len() > 16 {
+        for chunk in b[8..b.len() - 8].chunks(8) {
+            h = mix(h, chunk.iter().fold(0, |w, &c| w << 8 | u64::from(c)));
         }
-        h = (h ^ w).wrapping_mul(MIX);
-        h ^= h >> 29;
     }
-    h
+    mix(h, last)
 }
 
 #[cfg(test)]
@@ -1154,6 +1342,50 @@ mod tests {
         assert!(
             matches!(p.next().unwrap().unwrap(), PullEvent::Start { name, .. } if name == "next")
         );
+    }
+
+    #[test]
+    fn step_closes_self_closing_tags_in_one_step() {
+        let mut p = PullParser::new("<r>\n <leaf/><next a='1'/></r>");
+        let mut shapes = Vec::new();
+        while let Some(step) = p.step().expect("well-formed") {
+            shapes.push(match step {
+                Step::Open { name, empty, .. } => {
+                    if name == "leaf" {
+                        // Nothing to skip: the parent stays open.
+                        assert_eq!(p.skip_subtree().expect("no-op"), SubtreeSkip::default());
+                        assert_eq!(p.depth(), 1);
+                    }
+                    format!("<{name}{}>", if empty { "/" } else { "" })
+                }
+                Step::Close { name, .. } => format!("</{name}>"),
+                Step::Text { text, all_ws } => format!("{text:?}:{all_ws}"),
+                Step::Doctype { .. } => unreachable!(),
+            });
+        }
+        assert_eq!(
+            shapes,
+            ["<r>", "\"\\n \":true", "<leaf/>", "<next/>", "</r>"]
+        );
+    }
+
+    #[test]
+    fn long_names_differing_only_in_the_middle_spread_over_buckets() {
+        // Same first and last 8 bytes, hence the same key: only the bytes
+        // in between tell these names apart, and they must reach the hash.
+        let names: Vec<String> = (0..1000)
+            .map(|i| format!("prefix__{i:08}__suffix"))
+            .collect();
+        let slots: std::collections::HashSet<u64> = names
+            .iter()
+            .map(|n| hash_name(n.as_bytes(), name_key(n.as_bytes())) & 2047)
+            .collect();
+        assert!(slots.len() > 500, "{} distinct slots", slots.len());
+        let mut table = NameTable::default();
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(table.intern(n), NameId(i as u32));
+        }
+        assert_eq!(table.find(names[42].as_bytes()), Some(NameId(42)));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! schemacast chain v1.xsd v2.xsd [v3.xsd ...] [--json | --sarif] [--certify]
 //! ```
 //!
+//! `cast --stream` validates each document straight off its structural
+//! tape and never builds a tree, so its memory is O(depth) beyond the
+//! tape itself; under `--stats` its `nodes visited` denominator is the
+//! tape's element count (the tree path counts element and text nodes).
+//!
 //! `batch` with `--dir`, `--manifest`, or `--stream` runs the
 //! bounded-memory corpus pipeline: paths stream through a bounded queue
 //! to the workers, documents are memory-mapped and validated off the
@@ -46,7 +51,8 @@ use schemacast::analysis;
 use schemacast::core::certification_digest;
 use schemacast::core::certify::{certify_context, certify_context_with_scripts, CertificationRun};
 use schemacast::core::{
-    certify_chain, CastContext, FullValidator, Repairer, SchemaChain, Severity, StreamingCast,
+    certify_chain, CastContext, FullValidator, Repairer, SchemaChain, Severity, StreamScratch,
+    StreamingCast,
 };
 use schemacast::engine::{BatchEngine, CorpusOptions, CorpusSource, ItemOutcome, VerdictCache};
 use schemacast::schema::{AbstractSchema, SchemaSpans, Session};
@@ -95,7 +101,8 @@ fn usage() -> ExitCode {
          schemacast certify S.xsd Sprime.xsd [--json]\n  \
          schemacast chain v1.xsd v2.xsd [v3.xsd ...] [--json | --sarif] [--certify] \
          [--fail-on warn|error]\n  \
-         (use .dtd schema files with optional --root NAME)"
+         (use .dtd schema files with optional --root NAME)\n  \
+         (cast --stream builds no tree; its --stats denominator counts elements)"
     );
     ExitCode::from(2)
 }
@@ -618,11 +625,21 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            // Documents must be loaded (or at least alphabet-interned)
-            // against the shared alphabet; for streaming we hold the text.
+            // Trees are loaded against the shared alphabet. `cast
+            // --stream` needs only the text: the validator runs off the
+            // structural tape and resolves labels by lookup, so it builds
+            // no tree (labels neither schema knows are rejected either way).
+            let streaming = opts.command == "cast" && opts.stream;
             let mut loaded = Vec::new();
             for path in &opts.docs {
-                match load_doc(path, &mut session) {
+                let doc = if streaming {
+                    std::fs::read_to_string(path)
+                        .map(|text| (None, text))
+                        .map_err(|e| format!("cannot read {path}: {e}"))
+                } else {
+                    load_doc(path, &mut session).map(|(doc, text)| (Some(doc), text))
+                };
+                match doc {
                     Ok(pair) => loaded.push((path.clone(), pair)),
                     Err(e) => {
                         eprintln!("{e}");
@@ -648,6 +665,7 @@ fn main() -> ExitCode {
             if opts.command == "repair" {
                 let repairer = Repairer::new(&ctx, &session.alphabet);
                 for (path, (doc, _)) in &loaded {
+                    let Some(doc) = doc else { continue };
                     match repairer.repair(doc) {
                         Ok((fixed, actions)) => {
                             println!("{path}: {} change(s)", actions.len());
@@ -674,17 +692,27 @@ fn main() -> ExitCode {
                     }
                 }
             } else {
+                let mut scratch = StreamScratch::default();
                 for (path, (doc, text)) in &loaded {
-                    let (out, stats) = if opts.stream {
-                        match StreamingCast::new(&ctx).validate_str(text, &session.alphabet) {
-                            Ok(r) => r,
+                    // `nodes` is the --stats denominator: the tape's
+                    // element count when streaming, the tree's node count
+                    // otherwise.
+                    let (out, stats, nodes) = match doc {
+                        Some(doc) => {
+                            let (out, stats) = ctx.validate_with_stats(doc);
+                            (out, stats, doc.node_count())
+                        }
+                        None => match StreamingCast::new(&ctx).validate_str_with(
+                            text,
+                            &session.alphabet,
+                            &mut scratch,
+                        ) {
+                            Ok((out, stats)) => (out, stats, scratch.tape().element_count()),
                             Err(e) => {
                                 eprintln!("{path}: {e}");
                                 return ExitCode::from(2);
                             }
-                        }
-                    } else {
-                        ctx.validate_with_stats(doc)
+                        },
                     };
                     println!(
                         "{path}: {}",
@@ -693,10 +721,7 @@ fn main() -> ExitCode {
                     if opts.stats {
                         println!(
                             "  nodes visited: {} / {}   subsumed skips: {}   value checks: {}",
-                            stats.nodes_visited,
-                            doc.node_count(),
-                            stats.subsumed_skips,
-                            stats.value_checks
+                            stats.nodes_visited, nodes, stats.subsumed_skips, stats.value_checks
                         );
                         if opts.stream {
                             println!(

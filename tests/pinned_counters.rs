@@ -8,8 +8,10 @@
 //! * the static and script fast paths (whose accepts run the exemption
 //!   walk), the exemption walk itself, and the §3.3 Δ-mods validator, on
 //!   edit scripts over the purchase-order, item-list and feed fixtures;
-//! * the §3.4 label-indexed DTD validator (counters of its accepts; a
-//!   reject's depend on the hash order of the label index).
+//! * the §3.4 label-indexed DTD validator: verdicts and the counters of
+//!   its accepts, then (in rows of their own) the counters of its rejects,
+//!   which the label index's first-appearance order makes the same in
+//!   every process.
 //!
 //! A refactor of the walks must leave every row unchanged. On a mismatch
 //! the test prints the whole computed table in the syntax of [`EXPECTED`].
@@ -719,15 +721,47 @@ fn dtds(rows: &mut Vec<Row>) {
             for (doc_name, doc) in &docs {
                 let (outcome, mut stats) = v.validate_with_stats(doc, &LabelIndex::build(doc));
                 if !outcome.is_valid() {
-                    // The index visits labels in hash order and stops at
-                    // the first failing one, so only accepts have
-                    // order-independent counters.
+                    // A reject's counters depend on the order the index
+                    // visits labels in; `dtd_rejects` pins them.
                     stats = ValidationStats::default();
                 }
                 rows.push((
                     format!("dtd/{pair}/{doc_name}/{preset}"),
                     Some((outcome, stats)),
                 ));
+            }
+        }
+    }
+}
+
+/// The counters of every rejecting DTD row above. The index visits labels
+/// in order of first appearance and stops at the first failing one.
+fn dtd_rejects(rows: &mut Vec<Row>) {
+    let mut ab = Alphabet::new();
+    let source = parse_dtd(SRC_DTD, Some("po"), &mut ab).unwrap();
+    let target = parse_dtd(TGT_DTD, Some("po"), &mut ab).unwrap();
+    let target_items = parse_dtd(TGT_DTD_ITEMS, Some("po"), &mut ab).unwrap();
+    let docs: Vec<(String, Doc)> = [(true, 50), (false, 50), (true, 0), (false, 2)]
+        .into_iter()
+        .map(|(bill, n)| {
+            (
+                format!("bill{}/n{n}", u8::from(bill)),
+                dtd_doc(&mut ab, bill, n),
+            )
+        })
+        .collect();
+    for (preset, opts) in presets() {
+        for (pair, target) in [("bill", &target), ("items", &target_items)] {
+            let ctx = CastContext::with_options(&source, target, &ab, opts);
+            let v = DtdCastValidator::new(&ctx, ab.len()).unwrap();
+            for (doc_name, doc) in &docs {
+                let (outcome, stats) = v.validate_with_stats(doc, &LabelIndex::build(doc));
+                if !outcome.is_valid() {
+                    rows.push((
+                        format!("dtd/{pair}/{doc_name}/{preset}/reject"),
+                        Some((outcome, stats)),
+                    ));
+                }
             }
         }
     }
@@ -755,6 +789,7 @@ fn tree_validators_keep_their_exact_counters() {
     item_lists(&mut rows);
     feeds(&mut rows);
     dtds(&mut rows);
+    dtd_rejects(&mut rows);
 
     let table = render(&rows);
     assert_eq!(rows.len(), EXPECTED.len(), "row count; computed:\n{table}");
@@ -896,4 +931,13 @@ const EXPECTED: &[(&str, Option<bool>, Counts)] = &[
     ("dtd/items/bill0/n50/baseline", Some(true), [105, 53, 0, 0, 0, 0, 0, 51, 0, 0, 0, 0]),
     ("dtd/items/bill1/n0/baseline", Some(false), [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
     ("dtd/items/bill0/n2/baseline", Some(true), [9, 5, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0]),
+    ("dtd/bill/bill0/n50/default/reject", Some(false), [1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]),
+    ("dtd/bill/bill0/n2/default/reject", Some(false), [1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]),
+    ("dtd/items/bill1/n0/default/reject", Some(false), [2, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0]),
+    ("dtd/bill/bill0/n50/prototype/reject", Some(false), [1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("dtd/bill/bill0/n2/prototype/reject", Some(false), [1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("dtd/items/bill1/n0/prototype/reject", Some(false), [2, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("dtd/bill/bill0/n50/baseline/reject", Some(false), [1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("dtd/bill/bill0/n2/baseline/reject", Some(false), [1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("dtd/items/bill1/n0/baseline/reject", Some(false), [8, 5, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0]),
 ];
